@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .expressions import ExprAst, Jet2, eval_jet, eval_real, parse
+from .expressions import ExprAst, Jet2, compile_real, eval_jet, parse
 from .fields import (
     BlowupTime,
     FieldError,
@@ -100,6 +100,8 @@ def ij_vortex(
     h_ast = _as_ast(h, "r")
     _require_params(c_ast, params, "c(t)")
     _require_params(h_ast, params, "h(r)")
+    c_real = compile_real(c_ast, params)
+    h_real = compile_real(h_ast, params)
 
     def _g_jet(r: np.ndarray, T: np.ndarray):
         """Jet of g in r, plus the time-derivative coefficient c'(t)."""
@@ -121,8 +123,8 @@ def ij_vortex(
 
     def velocity(X, T):
         r = _radius(X)
-        g, _ = _g_jet(r, T)
-        return np.stack([g.value * X[:, 1], -g.value * X[:, 0]], axis=1)
+        g = c_real(T) * (1.0 / (r * r)) + h_real(r)  # the value of _g_jet's g
+        return np.stack([g * X[:, 1], -g * X[:, 0]], axis=1)
 
     def velocity_jet(X, T):
         r = _radius(X)
@@ -145,7 +147,7 @@ def ij_vortex(
     def _speed_profile(r, t):
         """|u| as a function of radius at fixed time: |g(r,t)| * r."""
         r = np.asarray(r, dtype=float)
-        gval = eval_real(c_ast, float(t), params) / (r * r) + eval_real(h_ast, r, params)
+        gval = c_real(float(t)) / (r * r) + h_real(r)
         return np.abs(gval) * r
 
     def pressure_val(X, T):
@@ -157,7 +159,7 @@ def ij_vortex(
             r = math.hypot(y1, y2)
 
             def integrand(rho, _t=t, _cv=float(cjet.value)):
-                g = _cv / (rho * rho) + float(eval_real(h_ast, rho, params))
+                g = _cv / (rho * rho) + float(h_real(rho))
                 return rho * g * g
 
             F, _ = quad(integrand, 1.0, r, epsrel=1e-11, epsabs=1e-13, limit=200)
@@ -229,13 +231,14 @@ def twin_wave(
     params = dict(params or {})
     v_ast = _as_ast(v, "x")
     _require_params(v_ast, params, "v(xi)")
+    v_real = compile_real(v_ast, params)
     speed = c3 * c1 - c2
 
     def _xi(X, T):
         return c3 * X[:, 0] - X[:, 1] - speed * T
 
     def velocity(X, T):
-        val = eval_real(v_ast, _xi(X, T), params)
+        val = v_real(_xi(X, T))
         val = np.broadcast_to(np.asarray(val, dtype=float), (len(X),))
         return np.stack([val + c1, c3 * val + c2], axis=1)
 
@@ -317,6 +320,7 @@ def linear3d(
     params = dict(params or {})
     f_ast = _as_ast(f, "t")
     _require_params(f_ast, params, "f(t)")
+    f_real = compile_real(f_ast, params)
     C = np.asarray(C, dtype=float)
     if C.shape != (3, 3):
         raise FieldError("C must be a 3x3 matrix")
@@ -333,7 +337,7 @@ def linear3d(
         return eval_jet(f_ast, Jet2.variable(T), params)
 
     def velocity(X, T):
-        fv = np.asarray(_f_jet(T).value)
+        fv = np.asarray(f_real(T))
         return (fv[:, None] if fv.ndim else fv) * (X @ C)
 
     def velocity_jet(X, T):
@@ -367,7 +371,7 @@ def linear3d(
     tmax = 0.9 * blowup_time if blowup_time is not None else 1.0
 
     def _sup_speed_unit_ball(t):
-        return abs(float(eval_real(f_ast, float(t), params))) * spectral
+        return abs(float(f_real(float(t)))) * spectral
 
     metadata = {
         "name": name,

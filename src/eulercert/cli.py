@@ -82,7 +82,9 @@ SPEC_SCHEMA = {
                 "c1": {"type": "number"},
                 "c2": {"type": "number"},
                 "c3": {"type": "number"},
-                "C": {"type": "array"},
+                "C": {"type": "array", "minItems": 3, "maxItems": 3,
+                      "items": {"type": "array", "items": {"type": "number"},
+                                "minItems": 3, "maxItems": 3}},
                 "sigma": {"type": "number"},
                 "T": {"type": "number"},
                 "x0": {"type": "array", "items": {"type": "number"}},

@@ -6,7 +6,9 @@ supplied as strings in a small arithmetic grammar.  Parsed expressions are
 evaluated together with their first and second derivatives by propagating
 truncated second-order Taylor triples (value, d1, d2) through the tree, so
 every profile automatically carries the derivatives that the PDE residual
-formulas need.
+formulas need.  Where only values are needed, ``compile_real`` turns an AST
+into a closure that repeats the same value arithmetic without the
+derivatives.
 
 Grammar summary:
 
@@ -27,6 +29,7 @@ time.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -44,6 +47,7 @@ __all__ = [
     "parse",
     "eval_jet",
     "eval_real",
+    "compile_real",
     "format_expr",
 ]
 
@@ -127,6 +131,14 @@ class Jet2:
         return Jet2(q0, q1, q2)
 
 
+def _nonpositive(v: Real) -> bool:
+    return v <= 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) <= 0.0))
+
+
+def _has_zero(v: Real) -> bool:
+    return v == 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) == 0.0))
+
+
 def _chain(u: Jet2, f0: Real, f1: Real, f2: Real) -> Jet2:
     """Compose a scalar function (given f(u), f'(u), f''(u)) with a jet."""
     return Jet2(f0, f1 * u.d1, f2 * u.d1 * u.d1 + f1 * u.d2)
@@ -138,14 +150,14 @@ def _jet_exp(u: Jet2) -> Jet2:
 
 
 def _jet_ln(u: Jet2) -> Jet2:
-    if np.any(np.asarray(u.value) <= 0.0):
+    if _nonpositive(u.value):
         raise EvalDomainError("ln requires a positive argument")
     inv = 1.0 / u.value
     return _chain(u, np.log(u.value), inv, -inv * inv)
 
 
 def _jet_sqrt(u: Jet2) -> Jet2:
-    if np.any(np.asarray(u.value) <= 0.0):
+    if _nonpositive(u.value):
         raise EvalDomainError("sqrt requires a positive argument")
     s = np.sqrt(u.value)
     f1 = 0.5 / s
@@ -186,23 +198,28 @@ def _jet_int_pow(base: Jet2, n: int) -> Jet2:
         return Jet2(one if one.ndim else 1.0, 0.0, 0.0)
     if n < 0:
         pos = _jet_int_pow(base, -n)
-        if np.any(np.asarray(pos.value) == 0.0):
+        if _has_zero(pos.value):
             raise EvalDomainError("negative power of zero")
         one = Jet2.constant(1.0)
         return one / pos
+    return _power_by_squaring(base, n)
+
+
+def _power_by_squaring(base, n: int):
+    """base**n for n >= 1 by square-and-multiply; base is a jet or a plain value."""
     result = None
     square = base
-    k = n
-    while k:
-        if k & 1:
+    while n:
+        if n & 1:
             result = square if result is None else result * square
-        k >>= 1
-        if k:
+        n >>= 1
+        if n:
             square = square * square
     return result
 
 
-def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
+def _int_exponent(expo: Jet2):
+    """The exponent as an int if a^b takes the repeated-multiplication path, else None."""
     expo_constant = (
         np.ndim(expo.d1) == 0
         and np.ndim(expo.d2) == 0
@@ -211,8 +228,15 @@ def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
         and np.ndim(expo.value) == 0
     )
     if expo_constant and float(expo.value).is_integer() and abs(expo.value) <= _INT_POW_LIMIT:
-        return _jet_int_pow(base, int(expo.value))
-    if np.any(np.asarray(base.value) <= 0.0):
+        return int(expo.value)
+    return None
+
+
+def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
+    n = _int_exponent(expo)
+    if n is not None:
+        return _jet_int_pow(base, n)
+    if _nonpositive(base.value):
         raise EvalDomainError("a^b with non-integer b requires a > 0")
     return _jet_exp(expo * _jet_ln(base))
 
@@ -486,7 +510,7 @@ def eval_jet(ast: ExprAst, seed: Jet2, params: ParamEnv | None = None) -> Jet2:
         if ast.op == "*":
             return left * right
         if ast.op == "/":
-            if np.any(np.asarray(right.value) == 0.0):
+            if _has_zero(right.value):
                 raise EvalDomainError(f"division by zero in {format_expr(ast)}")
             return left / right
         if ast.op == "^":
@@ -506,7 +530,109 @@ def eval_jet(ast: ExprAst, seed: Jet2, params: ParamEnv | None = None) -> Jet2:
 
 def eval_real(ast: ExprAst, x: Real, params: ParamEnv | None = None) -> Real:
     """Evaluate the plain value of ``ast`` at ``x`` (scalar or array)."""
-    return eval_jet(ast, Jet2.variable(x), params).value
+    return compile_real(ast, params)(x)
+
+
+# ---------------------------------------------------------------------------
+# Compiled value-only evaluation
+# ---------------------------------------------------------------------------
+
+_REAL_FUNCTIONS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin,
+                   "cos": np.cos, "atan": np.arctan}
+_REAL_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _real_int_pow(a: Real, n: int) -> Real:
+    """Value part of ``_jet_int_pow``, multiplying in the same order."""
+    if n == 0:
+        one = np.ones_like(np.asarray(a, dtype=float))
+        return one if one.ndim else 1.0
+    if n > 0:
+        return _power_by_squaring(a, n)
+    pos = _power_by_squaring(a, -n)
+    if _has_zero(pos):
+        raise EvalDomainError("negative power of zero")
+    return 1.0 / pos
+
+
+def compile_real(ast: ExprAst, params: ParamEnv | None = None):
+    """Compile ``ast`` into a closure ``f(x)`` returning its plain value.
+
+    ``f(x)`` is bit-identical to ``eval_jet(ast, Jet2.variable(x), params).value``
+    for scalar and array ``x``: it repeats eval_jet's value arithmetic in the
+    same order with the same numpy functions, and raises the same errors with
+    the same messages, but carries no derivatives.  Parameters are resolved
+    once, here.  A power whose exponent depends on the free variable is left
+    to eval_jet, which decides integer powers from the exponent's jet.
+    """
+    params = params or {}
+
+    def delegated(x):
+        return eval_jet(ast, Jet2.variable(x), params).value
+
+    def domain_error(what):
+        return EvalDomainError(f"{what} in {format_expr(ast)}")
+
+    if isinstance(ast, Num):
+        value = ast.value
+        return lambda x: value
+    if isinstance(ast, Var):
+        return lambda x: x
+    if isinstance(ast, Param):
+        try:
+            value = float(params[ast.name])
+        except (KeyError, TypeError, ValueError):
+            return delegated  # raises when called, as eval_jet does
+        return lambda x: value
+    if isinstance(ast, Neg):
+        f = compile_real(ast.child, params)
+        return lambda x: -f(x)
+    if isinstance(ast, Call):
+        f, fn = compile_real(ast.arg, params), _REAL_FUNCTIONS[ast.fn]
+        if ast.fn not in ("ln", "sqrt"):
+            return lambda x: fn(f(x))
+
+        def positive(x):
+            a = f(x)
+            if _nonpositive(a):
+                raise domain_error(f"{ast.fn} requires a positive argument")
+            return fn(a)
+        return positive
+    if ast.op != "^":
+        f, g = compile_real(ast.left, params), compile_real(ast.right, params)
+        if ast.op in _REAL_ARITH:
+            op = _REAL_ARITH[ast.op]
+            return lambda x: op(f(x), g(x))
+
+        def div(x):
+            a, b = f(x), g(x)
+            if _has_zero(b):
+                raise domain_error("division by zero")
+            return a / b
+        return div
+    try:  # the exponent's jet stays scalar at an array seed iff it does not involve x
+        expo = eval_jet(ast.right, Jet2.variable(np.ones(1)), params)
+    except (TypeError, ValueError):  # eval_jet raises it after evaluating the base
+        expo = None
+    if expo is None or np.ndim(expo.value):
+        return delegated
+    base, n = compile_real(ast.left, params), _int_exponent(expo)
+    if n is not None:
+        def int_pow(x):
+            a = base(x)
+            try:
+                return _real_int_pow(a, n)
+            except EvalDomainError as e:
+                raise domain_error(e) from None
+        return int_pow
+    b = expo.value
+
+    def real_pow(x):
+        a = base(x)
+        if _nonpositive(a):
+            raise domain_error("a^b with non-integer b requires a > 0")
+        return np.exp(b * np.log(a))
+    return real_pow
 
 
 def format_expr(ast: ExprAst) -> str:

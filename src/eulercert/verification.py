@@ -7,12 +7,16 @@ finite-difference cross-check recomputes every jet entry from pure value
 evaluations with 4th-order central stencils and is the authority whenever
 a chain-rule identity is in doubt.  Sampling uses an explicit splitmix64
 generator so that reports are bit-identical across platforms for a given
-seed.
+seed.  The generator is counter-based (draw k mixes seed + (k+1) * golden
+mod 2^64), so points are drawn and tested for admissibility in blocks; the
+accepted points are exactly those of drawing one value at a time with
+``splitmix64_stream``, in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,6 +77,8 @@ class SampleRegion:
     exclusion_radius: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise RegionError(f"sample count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise RegionError("sample count must be >= 1")
         for lo, hi in self.box:
@@ -80,6 +86,9 @@ class SampleRegion:
                 raise RegionError("box must be non-degenerate")
         if not (self.time[1] > self.time[0]):
             raise RegionError("time interval must be non-degenerate")
+        r = self.exclusion_radius
+        if r is not None and not (math.isfinite(r) and r > 0):
+            raise RegionError(f"exclusion radius must be finite and > 0, got {r}")
 
     @property
     def dim(self):
@@ -166,7 +175,8 @@ def splitmix64_stream(seed: int):
     state_{k+1} = state_k + 0x9E3779B97F4A7C15 (mod 2^64); each output is
     the mixed state (xor-shift 30 / mul / xor-shift 27 / mul / xor-shift 31)
     mapped to [0, 1) via the top 53 bits.  Pure integer arithmetic, hence
-    identical on every platform.
+    identical on every platform.  This is the per-draw reference; the
+    sampler computes the same draws in blocks (``_splitmix64_block``).
     """
     state = seed & _MASK64
     while True:
@@ -178,32 +188,60 @@ def splitmix64_stream(seed: int):
         yield (z >> 11) * (2.0 ** -53)
 
 
+def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start + count - 1`` of ``splitmix64_stream(seed)``.
+
+    Draw k mixes the state ``seed + (k + 1) * 0x9E3779B97F4A7C15 (mod 2^64)``,
+    so any block is computed directly in wrapping uint64 arithmetic and
+    equals the per-draw stream bit for bit.
+    """
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + k * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+_BLOCK_DRAWS = 1 << 16  # values drawn per block at most, bounding peak memory
+
+
 def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: float):
+    """The first ``count`` admissible points of the draw sequence, in order.
+
+    Each point takes ``dim + 1`` consecutive draws (x1, ..., xd, t); blocks
+    of candidate points are tested by one ``admissible`` call.  The result,
+    and the error past ``max(1000, 200 * count)`` candidates, are those of
+    drawing and testing one point at a time.
+    """
     dim = region.dim
     n = region.count
-    stream = splitmix64_stream(region.seed)
     lo = np.array([b[0] for b in region.box])
     hi = np.array([b[1] for b in region.box])
     t0, t1 = region.time
     xs, ts = [], []
-    attempts = 0
+    accepted = drawn = 0
     max_attempts = max(1000, 200 * n)
-    while len(xs) < n:
-        if attempts >= max_attempts:
+    while accepted < n:
+        if drawn >= max_attempts:
             raise RegionError(
-                f"rejection rate above 99%: {len(xs)} accepted in {attempts} draws; "
+                f"rejection rate above 99%: {accepted} accepted in {drawn} draws; "
                 "the region is mostly inside the singular-set exclusion"
             )
-        attempts += 1
-        u = np.array([next(stream) for _ in range(dim + 1)])
-        x = lo + u[:dim] * (hi - lo)
-        t = t0 + u[dim] * (t1 - t0)
-        X1 = x[None, :]
-        T1 = np.array([t])
-        if bool(sing.admissible(X1, T1, radius)[0]):
-            xs.append(x)
-            ts.append(t)
-    return np.asarray(xs), np.asarray(ts)
+        # candidates expected to yield the missing points, with a margin
+        per_point = 1.25 * drawn / max(accepted, 1) if drawn else 2.0
+        rows = min(math.ceil((n - accepted) * per_point) + 8,
+                   _BLOCK_DRAWS // (dim + 1), max_attempts - drawn)
+        u = _splitmix64_block(region.seed, drawn * (dim + 1), rows * (dim + 1))
+        u = u.reshape(rows, dim + 1)
+        X = lo + u[:, :dim] * (hi - lo)
+        T = t0 + u[:, dim] * (t1 - t0)
+        keep = np.flatnonzero(sing.admissible(X, T, radius))[:n - accepted]
+        xs.append(X[keep])
+        ts.append(T[keep])
+        accepted += len(keep)
+        drawn += rows
+    return np.concatenate(xs), np.concatenate(ts)
 
 
 def sample_points(region: SampleRegion, sing: SingularSetDescriptor,

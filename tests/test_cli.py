@@ -230,3 +230,28 @@ class TestDeterminism:
         code_b, out_b, _ = run(capsys, *argv)
         assert code_a == code_b
         assert out_a == out_b
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan"])
+    def test_non_positive_exclusion_is_input_error(self, capsys, radius):
+        code, out, err = run(capsys, "certify", "ex_2_6", "--samples", "200",
+                             "--exclusion", radius)
+        assert code == 2
+        assert out == ""
+        assert "exclusion radius" in err
+
+    @pytest.mark.parametrize("C", [
+        [["a", 0, 0], [0, 1, 0], [0, 0, -1]],
+        [[1, 0], [0, 1, 0], [0, 0, -1]],
+        [1, 0, 0],
+    ])
+    def test_malformed_strain_matrix_is_spec_error(self, tmp_path, capsys, C):
+        p = tmp_path / "strain.json"
+        p.write_text(json.dumps({"family": "linear3d", "params": {"f": "1", "C": C}}))
+        code, out, err = run(capsys, "certify", str(p), "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "params/C" in err
+        with pytest.raises(SpecError):
+            validate_spec(json.loads(p.read_text()))

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercert.expressions import (
+    FUNCTION_NAMES,
     EvalDomainError,
+    ExpressionError,
     Jet2,
     ParseError,
     UnknownIdentifierError,
+    compile_real,
     eval_jet,
     eval_real,
     format_expr,
@@ -223,3 +226,94 @@ def test_chain_rule_exact_on_polynomial_powers(a, b, x):
     assert j.value == float(inner**4)
     assert j.d1 == float(4 * a * inner**3)
     assert j.d2 == float(12 * a * a * inner**2)
+
+
+# ---------------------------------------------------------------------------
+# Compiled value-only evaluator against the jet interpreter
+# ---------------------------------------------------------------------------
+
+PARITY_PARAMS = {"a": 0.5, "b": -2.0, "k": 3.0}
+
+_literals = st.sampled_from(["0", "1", "2", "3", "0.5", "1.5e-3", "2.5", "1e3"])
+_leaves = st.one_of(_literals, st.just("x"), st.sampled_from(sorted(PARITY_PARAMS)))
+
+
+def _grow(sub):
+    return st.one_of(
+        st.builds(lambda e: f"-{e}", sub),
+        st.builds(lambda l, op, r: f"({l} {op} {r})", sub, st.sampled_from("+-*/"), sub),
+        st.builds(lambda e, n: f"({e})^{n}", sub,
+                  st.sampled_from(["2", "3", "-1", "-2", "0", "0.5", "-1.5", "k", "(k - 1)"])),
+        st.builds(lambda l, r: f"({l})^({r})", sub, sub),  # exponent may hold x
+        st.builds(lambda fn, e: f"{fn}({e})", st.sampled_from(FUNCTION_NAMES), sub),
+    )
+
+
+expression_texts = st.recursive(_leaves, _grow, max_leaves=12)
+scalar_points = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+)
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", fn()
+    except ExpressionError as e:
+        return type(e), str(e)
+
+
+def _assert_same_outcome(compiled, reference):
+    assert compiled[0] == reference[0]
+    if compiled[0] != "value":
+        assert compiled[1] == reference[1]
+        return
+    got, want = compiled[1], reference[1]
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # bit for bit, -0.0 and NaN too
+
+
+@given(text=expression_texts, x=scalar_points)
+@settings(max_examples=400, deadline=None)
+def test_compiled_scalar_matches_jet_value(text, x):
+    ast = parse(text, "x")
+    f = compile_real(ast, PARITY_PARAMS)
+    _assert_same_outcome(_outcome(lambda: f(x)),
+                         _outcome(lambda: eval_jet(ast, Jet2.variable(x), PARITY_PARAMS).value))
+
+
+@given(text=expression_texts,
+       xs=st.lists(scalar_points, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_compiled_array_matches_jet_value(text, xs):
+    ast = parse(text, "x")
+    x = np.array(xs)
+    f = compile_real(ast, PARITY_PARAMS)
+    _assert_same_outcome(_outcome(lambda: f(x)),
+                         _outcome(lambda: eval_jet(ast, Jet2.variable(x), PARITY_PARAMS).value))
+
+
+@pytest.mark.parametrize("text,x", [
+    ("ln(x)", 0.0), ("ln(x - 1)", 0.5), ("sqrt(x)", -1.0), ("sqrt(x^2)", 0.0),
+    ("1/(x - 2)", 2.0), ("a/(x*x)", 0.0),
+    ("x^-2", 0.0), ("(x - 1)^-1", 1.0),
+    ("x^0.5", -4.0), ("(x - 1)^1.5", 1.0), ("x^x", -1.0), ("2^(ln(x))", -1.0),
+    ("ln(x) + missing", -1.0), ("missing + ln(x)", -1.0), ("x^missing", 2.0),
+])
+@pytest.mark.parametrize("batched", [False, True])
+def test_compiled_domain_errors_match(text, x, batched):
+    ast = parse(text, "x")
+    point = np.array([1.5, x]) if batched else x
+    compiled = _outcome(lambda: compile_real(ast, PARITY_PARAMS)(point))
+    reference = _outcome(lambda: eval_jet(ast, Jet2.variable(point), PARITY_PARAMS).value)
+    assert compiled[0] in (EvalDomainError, UnknownIdentifierError)
+    assert compiled == reference
+
+
+def test_eval_real_uses_compiled_values():
+    ast = parse("-1/r^2 + 1/(1+r^2)^2", "r")
+    f = compile_real(ast)
+    for r in (0.3, 1.0, 2.7):
+        assert f(r) == eval_real(ast, r) == eval_jet(ast, Jet2.variable(r)).value

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eulercert.catalog import ij_vortex, linear3d, preset, twin_wave
+from eulercert.catalog import ij_vortex, linear3d, preset, preset_ids, twin_wave
 from eulercert.fields import (
     InadmissiblePointError,
     SingularSetDescriptor,
@@ -24,8 +24,10 @@ from eulercert.verification import (
     momentum_residual,
     residual_fd_only,
     sample_points,
+    splitmix64_stream,
     vorticity_transport_residual,
     _sample_arrays,
+    _splitmix64_block,
 )
 
 
@@ -226,3 +228,89 @@ class TestOracleIndependence:
                              for x, t in zip(X, T)])
         fd = residual_fd_only(sol, X, T)
         assert np.max(np.abs(analytic - fd)) <= 1e-5
+
+
+def _per_draw_samples(region, sing, radius):
+    """Reference sampler: one splitmix64 draw and one admissibility test at a time."""
+    dim, n = region.dim, region.count
+    stream = splitmix64_stream(region.seed)
+    lo = np.array([b[0] for b in region.box])
+    hi = np.array([b[1] for b in region.box])
+    t0, t1 = region.time
+    xs, ts = [], []
+    attempts = 0
+    while len(xs) < n:
+        if attempts >= max(1000, 200 * n):
+            raise RegionError(f"{len(xs)} accepted in {attempts} draws")
+        attempts += 1
+        u = np.array([next(stream) for _ in range(dim + 1)])
+        x = lo + u[:dim] * (hi - lo)
+        t = t0 + u[dim] * (t1 - t0)
+        if bool(sing.admissible(x[None, :], np.array([t]), radius)[0]):
+            xs.append(x)
+            ts.append(t)
+    return np.asarray(xs), np.asarray(ts)
+
+
+class TestBlockSamplerParity:
+    @pytest.mark.parametrize("pid", preset_ids())
+    @pytest.mark.parametrize("seed", [0, 17, 123456789])
+    def test_matches_per_draw_reference(self, pid, seed):
+        sol = preset(pid)
+        region = default_region(sol, count=300, seed=seed)
+        X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
+        X_ref, T_ref = _per_draw_samples(region, sol.singular, sol.exclusion_radius)
+        assert np.array_equal(X, X_ref) and np.array_equal(T, T_ref)
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64 + 5, -1, -(2**40)])
+    def test_seed_masking(self, seed):
+        sol = preset("ex_6_1")  # half the box is outside the domain
+        region = default_region(sol, count=200, seed=seed)
+        X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
+        X_ref, T_ref = _per_draw_samples(region, sol.singular, sol.exclusion_radius)
+        assert np.array_equal(X, X_ref) and np.array_equal(T, T_ref)
+
+    @pytest.mark.parametrize("start,count", [(0, 7), (5, 300), (1001, 64)])
+    def test_block_equals_stream(self, start, count):
+        for seed in (0, 42, 2**63 + 1, -5):
+            stream = splitmix64_stream(seed)
+            ref = [next(stream) for _ in range(start + count)][start:]
+            assert _splitmix64_block(seed, start, count).tolist() == ref
+
+    @pytest.mark.parametrize("count", [1, 10, 37])
+    def test_fully_excluded_counts_match_reference(self, count):
+        sing = SingularSetDescriptor(primitives=(MovingPoint((0.0, 0.0), (0.0, 0.0)),))
+        region = SampleRegion(box=((-1.0, 1.0), (-1.0, 1.0)), time=(0.0, 1.0),
+                              count=count, seed=3)
+        with pytest.raises(RegionError) as ref:
+            _per_draw_samples(region, sing, 5.0)
+        with pytest.raises(RegionError, match="99%") as got:
+            _sample_arrays(region, sing, 5.0)
+        assert str(ref.value) in str(got.value)
+
+    def test_mostly_excluded_region_matches_reference(self):
+        # about 3% of the box is admissible: many blocks, each sized from the rate so far
+        sing = SingularSetDescriptor(primitives=(MovingPoint((0.0, 0.0), (0.0, 0.0)),))
+        region = SampleRegion(box=((-1.0, 1.0), (-1.0, 1.0)), time=(0.0, 1.0),
+                              count=40, seed=9)
+        X, T = _sample_arrays(region, sing, 1.25)
+        X_ref, T_ref = _per_draw_samples(region, sing, 1.25)
+        assert np.array_equal(X, X_ref) and np.array_equal(T, T_ref)
+
+
+class TestRegionValidation:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_rejected(self, radius):
+        with pytest.raises(RegionError, match="exclusion radius"):
+            SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
+                         count=5, exclusion_radius=radius)
+
+    def test_fractional_count_rejected(self):
+        # the block sampler stops at exactly ``count`` points, so it must be whole
+        with pytest.raises(RegionError, match="integer"):
+            SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0), count=2.5)
+
+    def test_positive_radius_accepted(self):
+        region = SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
+                              count=5, exclusion_radius=0.25)
+        assert region.exclusion_radius == 0.25
