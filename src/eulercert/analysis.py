@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .expressions import ExprAst, Jet2, eval_jet, parse
+from .expressions import ExprAst, ExpressionError, Jet2, eval_jet, parse
 from .fields import (
     FieldError,
     MovingLine,
@@ -44,6 +43,14 @@ __all__ = [
 
 R_MAX = 1e3
 QUAD_OPTS = dict(epsrel=1e-11, epsabs=1e-14, limit=300)
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use: only the norms and the
+    energy need it, and importing it takes longer than most other commands."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -413,9 +420,7 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
         try:
             seed = Jet2.variable(probe_xi)
             k = float(eval_jet(p2, seed, params).value) - c3 * float(eval_jet(p1, seed, params).value)
-        except FieldError:
-            continue
-        except Exception:
+        except (ExpressionError, FieldError, ArithmeticError):
             continue
         if math.isfinite(k):
             offset = k

@@ -261,8 +261,19 @@ def solution_spec_for_preset(preset_id: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

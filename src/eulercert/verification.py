@@ -512,27 +512,23 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
         vort = np.abs(_vorticity_transport_batch(sol, X, T))
         max_vort = float(vort.max())
 
-    def worst(values):
-        i = int(np.argmax(values))
+    metrics = {"residual": (res, tolerances.residual),
+               "divergence": (div, tolerances.divergence),
+               "fd_discrepancy": (fd, tolerances.fd)}
+    if vort is not None:
+        metrics["vorticity_transport"] = (vort, tolerances.vorticity)
+    non_finite = {k: int(np.count_nonzero(~np.isfinite(v))) for k, (v, _) in metrics.items()}
+    checks = [not non_finite[k] and float(v.max()) <= tol for k, (v, tol) in metrics.items()]
+
+    def worst(values, non_finite):
+        i = int(np.argmax(~np.isfinite(values)) if non_finite else np.argmax(values))
         return {"x": [float(v) for v in X[i]], "t": float(T[i]), "value": float(values[i])}
 
-    checks = [
-        float(res.max()) <= tolerances.residual,
-        float(div.max()) <= tolerances.divergence,
-        float(fd.max()) <= tolerances.fd,
-    ]
-    if max_vort is not None:
-        checks.append(max_vort <= tolerances.vorticity)
-
-    worst_points = {
-        "residual": worst(res),
-        "divergence": worst(div),
-        "fd_discrepancy": worst(fd),
-    }
-    if vort is not None:
-        worst_points["vorticity_transport"] = worst(vort)
+    worst_points = {k: worst(v, non_finite[k]) for k, (v, _) in metrics.items()}
 
     notes = {}
+    if any(non_finite.values()):
+        notes["non_finite_points"] = {k: n for k, n in non_finite.items() if n}
     if "pressure_sign" in sol.metadata.get("params", {}):
         notes["pressure_sign"] = sol.metadata["params"]["pressure_sign"]
     if sol.metadata.get("transform_chain"):

@@ -194,3 +194,9 @@ class TestTwinWaveFormCheck:
     def test_scaled_conforming_pair(self):
         res = twin_wave_form_check("1/(1+x^2)^2", "3/(1+x^2)^2", 0.5, 0.2, 3.0)
         assert res.sup_residual <= 1e-8
+
+    def test_non_numeric_parameter_is_not_reported_as_unevaluable(self):
+        # Only evaluation failures (domain errors, overflow) skip a probe phase;
+        # a bad parameter value is a caller error and must surface as itself.
+        with pytest.raises(TypeError):
+            twin_wave_form_check("a*x", "a*x", 0.0, 1.0, 1.0, params={"a": None})

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from eulercert import catalog
 from eulercert.catalog import (
     TransformSpec,
     apply_transform,
@@ -15,6 +17,11 @@ from eulercert.catalog import (
 )
 from eulercert.fields import FieldError, InadmissiblePointError, SpaceTimePoint
 from eulercert.verification import (
+    FD_STEP1,
+    PRESSURE_FD_SUBSET,
+    _fd_pressure_gradient,
+    _rel_discrepancy,
+    _sample_arrays,
     certify,
     default_region,
     divergence,
@@ -268,3 +275,80 @@ class TestPresets:
         sol = preset("ex_6_1", {"pressure_sign": -1, "sigma": 2.0})
         assert sol.metadata["params"]["pressure_sign"] == -1
         assert sol.viscosity == 2.0
+
+
+# Integrands of the radial quadrature: the three vortex presets' r g(r, t)^2
+# at a fixed c(t), and two generic smooth profiles.  Each entry is
+# (numpy integrand, mpmath integrand).
+def _vortex_integrand(c, h, mp_h):
+    return (lambda x: x * (c / (x * x) + h(x)) ** 2,
+            lambda x: x * (c / (x * x) + mp_h(x)) ** 2)
+
+
+RADIAL_INTEGRANDS = {
+    "ex_2_5": _vortex_integrand(0.37, lambda x: -1 / x**2, lambda x: -1 / x**2),
+    "ex_2_6": _vortex_integrand(1 / (1 - 0.8), lambda x: -1 / x**2, lambda x: -1 / x**2),
+    "ex_3_2": _vortex_integrand(1.0, lambda x: -1 / x**2 + 1 / (1 + x**2) ** 2,
+                                lambda x: -1 / x**2 + 1 / (1 + x**2) ** 2),
+    "exp(-r^2)": (lambda x: np.exp(-x * x), lambda x: mpmath.exp(-x * x)),
+    "sin(3*r)/r^2": (lambda x: np.sin(3 * x) / x**2, lambda x: mpmath.sin(3 * x) / x**2),
+}
+QUAD_TOL = dict(epsrel=1e-11, epsabs=1e-13)
+
+
+class TestRadialQuadrature:
+    @pytest.mark.parametrize("name", sorted(RADIAL_INTEGRANDS))
+    def test_matches_mpmath(self, name):
+        f, mp_f = RADIAL_INTEGRANDS[name]
+        r = np.geomspace(0.05, 10.0, 9)
+        F, err = catalog.quad(lambda x, rows: f(x), 1.0, r, **QUAD_TOL)
+        with mpmath.workdps(50):
+            ref = [float(mpmath.quad(mp_f, [1, mpmath.mpf(float(b))])) for b in r]
+        for b, got, want, e in zip(r, F, ref, err):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (b, got, want)
+            assert e <= 1e-11 * max(1.0, abs(want))
+
+    def test_empty_interval_is_exactly_zero(self):
+        F, err = catalog.quad(lambda x, rows: 1.0 / x, [0.5, 3.0], [0.5, 3.0], **QUAD_TOL)
+        assert F.tolist() == [0.0, 0.0]
+        assert err.tolist() == [0.0, 0.0]
+
+    def test_row_value_independent_of_the_batch(self):
+        # Rows converge after different numbers of refinements (the
+        # frequency k grows with the row), so the batch shrinks as it goes.
+        r = np.geomspace(0.05, 10.0, 1600)
+        k = np.linspace(0.5, 60.0, 1600)
+
+        def wave(rows):
+            return lambda x, sub: x * np.cos(k[rows][sub, None] * x) ** 2
+
+        full, full_err = catalog.quad(wave(np.arange(1600)), 1.0, r, **QUAD_TOL)
+        for i in (0, 737, 1599):
+            one, one_err = catalog.quad(wave(np.array([i])), 1.0, r[i:i + 1], **QUAD_TOL)
+            assert one.tobytes() == full[i:i + 1].tobytes()
+            assert one_err.tobytes() == full_err[i:i + 1].tobytes()
+
+    def test_non_finite_integrand_returns_without_raising(self):
+        with np.errstate(all="ignore"):
+            F, _ = catalog.quad(lambda x, rows: np.where(rows[:, None] == 1, np.nan,
+                                                         np.exp(1000.0 * x * rows[:, None])),
+                                1.0, [2.0, 2.0, 3.0], **QUAD_TOL)
+        assert F[0] == pytest.approx(1.0)
+        assert np.isnan(F[1]) and np.isinf(F[2])
+
+    def test_unresolvable_oscillation_raises(self):
+        with pytest.raises(FieldError, match="did not converge"):
+            catalog.quad(lambda x, rows: np.sin(1e5 * x), 1.0, [2.0], **QUAD_TOL)
+
+    @pytest.mark.parametrize("pid", ["ex_2_5", "ex_2_6", "ex_3_2"])
+    def test_pressure_value_matches_its_gradient(self, pid):
+        sol = preset(pid)
+        X, T = _sample_arrays(default_region(sol, count=2000, seed=0), sol.singular,
+                              sol.exclusion_radius)
+        hmax = 2.5 * FD_STEP1 * np.maximum(1.0, np.abs(X).max(axis=1))
+        sel = np.flatnonzero(sol.pressure_cut_clearance(X, T) > 0.05 + 4.0 * hmax)
+        sel = sel[:PRESSURE_FD_SUBSET]
+        grad_fd = _fd_pressure_gradient(sol, X[sel], T[sel])
+        grad = sol.pressure_gradient(X[sel], T[sel])
+        assert len(sel) == PRESSURE_FD_SUBSET
+        assert _rel_discrepancy(grad, grad_fd).max() <= 1e-10

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,3 +258,48 @@ class TestInputValidation:
         assert "params/C" in err
         with pytest.raises(SpecError):
             validate_spec(json.loads(p.read_text()))
+
+
+OVERFLOWING_VORTEX = {"format_version": 1, "family": "ij_vortex",
+                      "params": {"c": "exp(1000*t)", "h": "-1/r^2"}}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestNonFiniteReport:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_spec_fails_with_strict_json(self, capsys, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(OVERFLOWING_VORTEX))
+        code, out, _ = run(capsys, "certify", str(p), "--samples", "300")
+        assert code == 1
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["verdict"] == "fail"
+        assert doc["max_residual"] is None
+        counts = doc["notes"]["non_finite_points"]
+        assert set(counts) <= set(doc["worst_points"]) and counts["residual"] > 0
+        for metric in counts:
+            assert doc["worst_points"][metric]["value"] is None
+
+    def test_finite_report_is_unchanged_by_strict_emit(self, capsys):
+        sol = preset("ex_3_10")
+        expected = json.dumps(certify(sol, default_region(sol, count=300, seed=2)).to_dict(),
+                              indent=2) + "\n"
+        code, out, _ = run(capsys, "certify", "ex_3_10", "--samples", "300", "--seed", "2")
+        assert code == 0
+        assert out == expected
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        import eulercert
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+        code = ("import sys, eulercert, eulercert.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -314,3 +314,20 @@ class TestRegionValidation:
         region = SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
                               count=5, exclusion_radius=0.25)
         assert region.exclusion_radius == 0.25
+
+
+class TestNonFiniteMetrics:
+    def test_non_finite_metric_fails_and_is_named(self):
+        sol = ij_vortex("exp(1000*t)", "-1/r^2")
+        with np.errstate(all="ignore"):
+            rep = certify(sol, default_region(sol, count=300, seed=0))
+        assert not rep.passed
+        counts = rep.notes["non_finite_points"]
+        assert counts["residual"] > 0 and all(n > 0 for n in counts.values())
+        for metric in counts:
+            assert not math.isfinite(rep.worst_points[metric]["value"])
+
+    def test_finite_report_has_no_non_finite_note(self):
+        sol = preset("ex_3_2")
+        rep = certify(sol, default_region(sol, count=300, seed=0))
+        assert "non_finite_points" not in rep.notes
