@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import catalog
 from .expressions import ExprAst, ExpressionError, Jet2, eval_jet, parse
 from .fields import (
     FieldError,
@@ -167,16 +168,18 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
         raise FieldError("improper norm needs a radially structured solution")
     sub = np.zeros(2) if spec.subtract is None else np.asarray(spec.subtract)
 
-    def ring(r):
-        def along(theta):
-            X = np.asarray([[r * math.cos(theta), r * math.sin(theta)]])
-            u = sol.velocity(X, np.asarray([t]))[0] - sub
-            return float(np.linalg.norm(u)) ** spec.q
+    def rings(x, _):
+        r = x.ravel()
 
-        val, _ = quad(along, 0.0, 2.0 * math.pi, epsrel=1e-9, epsabs=1e-12, limit=200)
-        return r * val
+        def along(theta, rows):
+            X = r[rows, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            u = sol.velocity(X.reshape(-1, 2), np.full(X.size // 2, t)) - sub
+            return np.hypot(u[:, 0], u[:, 1]).reshape(len(rows), -1) ** spec.q
 
-    val, _ = quad(ring, spec.delta, spec.R, epsrel=1e-9, epsabs=1e-12, limit=200)
+        ring, _ = catalog.angular_quad(along, len(r), epsrel=1e-9, epsabs=1e-12)
+        return (r * ring).reshape(x.shape)
+
+    val = float(catalog.quad(rings, spec.delta, spec.R, epsrel=1e-9, epsabs=1e-12)[0][0])
     return NormResult(val ** (1.0 / spec.q), val, 0.0,
                       f"polar tensor quadrature on the annulus ({spec.delta}, {spec.R})")
 

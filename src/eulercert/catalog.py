@@ -71,11 +71,25 @@ def _require_params(ast: ExprAst, params: dict, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized radial quadrature
+# Vectorized radial and angular quadrature
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 QUAD_MAX_PANELS = 1024
+ANGULAR_MAX_NODES = 2**14
+
+
+def _accept(est, prev, rows, values, abserr, epsrel, epsabs):
+    """Store the estimates of the rows that are done and return their mask:
+    rows whose estimate is not finite, or within max(epsabs, epsrel |est|)
+    of the previous round's."""
+    done = ~np.isfinite(est)
+    if prev is not None:
+        err = np.abs(est - prev)
+        done |= err <= np.maximum(epsabs, epsrel * np.abs(est))
+        abserr[rows[done]] = err[done]
+    values[rows[done]] = est[done]
+    return done
 
 
 def quad(func, a, b, *, epsrel: float, epsabs: float):
@@ -100,16 +114,37 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
         x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(len(rows), -1)
         f = np.broadcast_to(func(x, rows), x.shape).reshape(len(rows), m, 8)
         est = ((f * _GL_WEIGHTS).sum(axis=2) * half).sum(axis=1)
-        done = ~np.isfinite(est)
-        if prev is not None:
-            err = np.abs(est - prev)
-            done |= err <= np.maximum(epsabs, epsrel * np.abs(est))
-            abserr[rows[done]] = err[done]
-        values[rows[done]] = est[done]
+        done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev = rows[~done], est[~done]
         if len(rows) and m >= QUAD_MAX_PANELS:
             raise FieldError(f"radial quadrature did not converge with {m} panels")
         m *= 2
+    return values, abserr
+
+
+def angular_quad(func, count: int, *, epsrel: float, epsabs: float):
+    """Integrals over theta in [0, 2 pi) of ``func`` for ``count`` rows at once.
+
+    ``func(theta, rows)`` evaluates the integrand of rows ``rows`` at the
+    angles ``theta`` (shared by the rows) and returns one line per row.
+    Each row uses the periodic trapezoid rule on n = 16, 32, ... equispaced
+    angles; a doubling evaluates only the n new midpoints, in one ``func``
+    call over the rows still open.  Acceptance, ``(values, abserr)`` and row
+    independence are those of ``quad``; raises FieldError when a row needs
+    more than ANGULAR_MAX_NODES angles.
+    """
+    values, abserr = np.empty(count), np.full(count, np.inf)
+    rows, total, prev, n = np.arange(count), np.zeros(count), None, 16
+    theta = 2.0 * np.pi * np.arange(n) / n
+    while len(rows):
+        total = total + np.broadcast_to(func(theta, rows), (len(rows), len(theta))).sum(axis=1)
+        est = total * (2.0 * np.pi / n)
+        done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
+        rows, prev, total = rows[~done], est[~done], total[~done]
+        if len(rows) and n >= ANGULAR_MAX_NODES:
+            raise FieldError(f"angular quadrature did not converge with {n} angles")
+        theta = np.pi * (2.0 * np.arange(n) + 1.0) / n
+        n *= 2
     return values, abserr
 
 

@@ -580,7 +580,9 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        # non-finite values are reported in notes.non_finite_points, not as warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (SpecError, ExpressionError, FieldError, RegionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

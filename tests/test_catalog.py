@@ -352,3 +352,56 @@ class TestRadialQuadrature:
         grad = sol.pressure_gradient(X[sel], T[sel])
         assert len(sel) == PRESSURE_FD_SUBSET
         assert _rel_discrepancy(grad, grad_fd).max() <= 1e-10
+
+
+# 2 pi I_0(k) = integral over one period of exp(k cos theta); rows with a
+# larger k need more doublings of the periodic trapezoid rule.
+ANGULAR_K = np.linspace(0.1, 40.0, 64)
+ANGULAR_TOL = dict(epsrel=1e-9, epsabs=1e-12)
+
+
+def _bessel_rows(rows):
+    return lambda theta, sub: np.exp(ANGULAR_K[rows][sub, None] * np.cos(theta))
+
+
+class TestAngularQuadrature:
+    def test_matches_bessel_closed_form(self):
+        F, err = catalog.angular_quad(_bessel_rows(np.arange(64)), 64, **ANGULAR_TOL)
+        for k, got, e in zip(ANGULAR_K, F, err):
+            want = float(2 * mpmath.pi * mpmath.besseli(0, float(k)))
+            assert abs(got - want) <= 1e-12 * want, (k, got, want)
+            assert e <= 1e-9 * want
+
+    def test_row_value_independent_of_the_batch(self):
+        full, full_err = catalog.angular_quad(_bessel_rows(np.arange(64)), 64, **ANGULAR_TOL)
+        for i in (0, 31, 63):
+            one, one_err = catalog.angular_quad(_bessel_rows(np.array([i])), 1, **ANGULAR_TOL)
+            assert one.tobytes() == full[i:i + 1].tobytes()
+            assert one_err.tobytes() == full_err[i:i + 1].tobytes()
+
+    def test_each_angle_is_evaluated_once(self):
+        seen = []
+
+        def f(theta, rows):
+            seen.append(theta)
+            return np.exp(20.0 * np.cos(theta))[None, :]
+
+        catalog.angular_quad(f, 1, **ANGULAR_TOL)
+        angles = np.sort(np.concatenate(seen))
+        assert len(seen) >= 3
+        assert np.allclose(angles, 2 * np.pi * np.arange(len(angles)) / len(angles),
+                           rtol=0, atol=1e-15)
+
+    def test_non_finite_integrand_returns_without_raising(self):
+        with np.errstate(all="ignore"):
+            F, _ = catalog.angular_quad(
+                lambda theta, rows: np.where(rows[:, None] == 1, np.nan,
+                                             np.exp(1000.0 * rows[:, None] * np.cos(theta))),
+                3, **ANGULAR_TOL)
+        assert F[0] == pytest.approx(2 * np.pi)
+        assert np.isnan(F[1]) and np.isinf(F[2])
+
+    def test_unresolvable_singularity_raises(self):
+        with pytest.raises(FieldError, match="angular quadrature did not converge"):
+            catalog.angular_quad(lambda theta, rows: np.abs(np.sin(theta) - 0.3) ** -0.5,
+                                 1, **ANGULAR_TOL)

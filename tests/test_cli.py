@@ -117,6 +117,21 @@ class TestNorm:
         assert code == 2
         assert "delta" in err
 
+    def test_polar_norm_of_twin_wave(self, capsys):
+        code, out, _ = run(capsys, "norm", "ex_3_4_smooth", "--delta", "1", "--R", "2",
+                           "--t", "0.3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["provenance"].startswith("polar")
+        assert doc["value_pow_q"] == pytest.approx(7.526412809725809, rel=1e-10)
+
+    def test_annulus_crossing_a_singular_line_is_input_error(self, capsys):
+        code, out, err = run(capsys, "norm", "ex_3_4_singular", "--delta", "1", "--R", "2",
+                             "--t", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "did not converge" in err
+
 
 class TestBlowup:
     def test_vortex_exponent(self, capsys):
@@ -290,6 +305,20 @@ class TestNonFiniteReport:
         code, out, _ = run(capsys, "certify", "ex_3_10", "--samples", "300", "--seed", "2")
         assert code == 0
         assert out == expected
+
+    def test_overflow_prints_no_warnings(self, tmp_path):
+        # Run in a fresh process: pytest would otherwise collect the warnings.
+        import eulercert
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(OVERFLOWING_VORTEX))
+        proc = subprocess.run([sys.executable, "-m", "eulercert.cli", "certify", str(p),
+                               "--samples", "500"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout, parse_constant=_reject_constant)["verdict"] == "fail"
+        assert proc.stderr == ""
 
 
 class TestImports:
