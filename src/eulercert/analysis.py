@@ -172,9 +172,9 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
         r = x.ravel()
 
         def along(theta, rows):
-            X = r[rows, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            u = sol.velocity(X.reshape(-1, 2), np.full(X.size // 2, t)) - sub
-            return np.hypot(u[:, 0], u[:, 1]).reshape(len(rows), -1) ** spec.q
+            x, y = r[rows, None] * np.cos(theta), r[rows, None] * np.sin(theta)
+            u = sol.velocity(np.stack([x.ravel(), y.ravel()], axis=1), np.full(x.size, t)) - sub
+            return np.hypot(u[:, 0], u[:, 1]).reshape(x.shape) ** spec.q
 
         ring, _ = catalog.angular_quad(along, len(r), epsrel=1e-9, epsabs=1e-12)
         return (r * ring).reshape(x.shape)

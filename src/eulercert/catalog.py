@@ -76,7 +76,10 @@ def _require_params(ast: ExprAst, params: dict, what: str):
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 QUAD_MAX_PANELS = 1024
-ANGULAR_MAX_NODES = 2**14
+ANGULAR_MAX_NODES = 2**10
+ANGULAR_MAX_LEVELS = 40
+ANGULAR_MAX_OPEN = 512
+ANGULAR_CHUNK = 2**16
 
 
 def _accept(est, prev, rows, values, abserr, epsrel, epsabs):
@@ -122,30 +125,85 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
     return values, abserr
 
 
+def _slices(count: int, width: int):
+    """Slices of ``count`` rows holding at most ANGULAR_CHUNK points of
+    ``width`` each (one row at least); rows are independent, so evaluating
+    them slice by slice bounds the memory and changes no value."""
+    step = max(1, ANGULAR_CHUNK // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def angular_quad(func, count: int, *, epsrel: float, epsabs: float):
     """Integrals over theta in [0, 2 pi) of ``func`` for ``count`` rows at once.
 
-    ``func(theta, rows)`` evaluates the integrand of rows ``rows`` at the
-    angles ``theta`` (shared by the rows) and returns one line per row.
-    Each row uses the periodic trapezoid rule on n = 16, 32, ... equispaced
-    angles; a doubling evaluates only the n new midpoints, in one ``func``
-    call over the rows still open.  Acceptance, ``(values, abserr)`` and row
-    independence are those of ``quad``; raises FieldError when a row needs
-    more than ANGULAR_MAX_NODES angles.
+    ``func(theta, rows)`` evaluates the integrand of rows ``rows`` at
+    ``theta``, either one line of angles shared by the rows or one line per
+    row, and returns one line per row.  Each row uses the periodic trapezoid
+    rule on n = 16, 32, ... equispaced angles; a doubling evaluates only the
+    n new midpoints, in one ``func`` call over the rows still open (split
+    into row slices of at most ANGULAR_CHUNK points).  Acceptance,
+    ``(values, abserr)`` and row independence are those of ``quad``.  A row
+    still open after ANGULAR_MAX_NODES angles (a kink or a singularity on
+    the ring) goes on with ``_bisect``.
     """
     values, abserr = np.empty(count), np.full(count, np.inf)
     rows, total, prev, n = np.arange(count), np.zeros(count), None, 16
     theta = 2.0 * np.pi * np.arange(n) / n
-    while len(rows):
-        total = total + np.broadcast_to(func(theta, rows), (len(rows), len(theta))).sum(axis=1)
+    while len(rows) and n <= ANGULAR_MAX_NODES:
+        for s in _slices(len(rows), len(theta)):
+            f = func(theta, rows[s])
+            total[s] += np.broadcast_to(f, (len(total[s]), len(theta))).sum(axis=1)
         est = total * (2.0 * np.pi / n)
         done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev, total = rows[~done], est[~done], total[~done]
-        if len(rows) and n >= ANGULAR_MAX_NODES:
-            raise FieldError(f"angular quadrature did not converge with {n} angles")
         theta = np.pi * (2.0 * np.arange(n) + 1.0) / n
         n *= 2
+    if len(rows):
+        tol = np.maximum(epsabs, epsrel * np.abs(prev))
+        values[rows], abserr[rows] = _bisect(func, rows, tol)
     return values, abserr
+
+
+def _bisect(func, rows, tol):
+    """Adaptive 8-point Gauss-Legendre on [0, 2 pi) for the rows ``rows``.
+
+    Every row starts from 16 equal panels.  A round halves all open panels
+    at once and accepts a pair of halves whose sum is within
+    tol * width / 2 pi of the parent panel's estimate (or is not finite), so
+    the errors of a row add up to at most its ``tol``.  A kink needs about
+    25 rounds and keeps a few panels open; a row with more than
+    ANGULAR_MAX_OPEN open panels, or open after ANGULAR_MAX_LEVELS rounds (a
+    singularity whose values swamp the tolerance), raises FieldError.
+    """
+    values, abserr = np.zeros(len(rows)), np.zeros(len(rows))
+    idx, w = np.repeat(np.arange(len(rows)), 16), 2.0 * np.pi / 16
+    a = np.tile(np.arange(16) * w, len(rows))
+
+    def gl(a, w, idx):
+        est = np.empty(len(a))
+        for s in _slices(len(a), 8):
+            f = func(a[s, None] + w * (_GL_NODES + 1.0) / 2.0, rows[idx[s]])
+            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * _GL_WEIGHTS).sum(axis=1) * (w / 2)
+        return est
+
+    whole = gl(a, w, idx)
+    for _ in range(ANGULAR_MAX_LEVELS):
+        w /= 2.0
+        left, right = gl(a, w, idx), gl(a + w, w, idx)
+        est = left + right
+        err = np.abs(est - whole)
+        done = ~np.isfinite(est) | (err <= tol[idx] * w / np.pi)
+        np.add.at(values, idx[done], est[done])
+        np.add.at(abserr, idx[done], err[done])
+        keep = ~done
+        if not keep.any():
+            return values, abserr
+        if np.bincount(idx[keep]).max() > ANGULAR_MAX_OPEN:
+            break
+        idx, a = np.concatenate([idx[keep], idx[keep]]), np.concatenate([a[keep], a[keep] + w])
+        whole = np.concatenate([left[keep], right[keep]])
+    raise FieldError(f"angular quadrature did not converge: panels of width {w:.1e} "
+                     "are still open")
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,9 @@ def cmd_norm(args) -> int:
     R = math.inf if args.R is None else args.R
     res = annulus_lq_norm(sol, NormSpec(q=args.q, delta=args.delta, R=R,
                                         t=args.t, subtract=subtract))
+    if not math.isfinite(res.value):
+        raise FieldError("the norm is not finite: the speed overflows or is undefined "
+                         "on the annulus")
     doc = {
         "format_version": 1,
         "solution": sol.name,
@@ -580,7 +583,8 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        # non-finite values are reported in notes.non_finite_points, not as warnings
+        # non-finite values are reported (certify's notes.non_finite_points) or
+        # refused (a non-finite norm), not left to numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except (SpecError, ExpressionError, FieldError, RegionError) as e:

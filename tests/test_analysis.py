@@ -143,6 +143,22 @@ class TestPolarPath:
                         NormSpec(q=2, delta=1.0, R=2.0, t=0.3))
         assert 0 < len(calls) <= 64
 
+    def test_zero_of_the_relative_velocity_is_resolved(self):
+        # u - (1, 0) vanishes at two points of the ring r0 inside the annulus,
+        # so |u - subtract| has a kink there; the nested scipy quadrature gave
+        # 30.5351944518.
+        res = annulus_lq_norm(preset("ex_2_6"),
+                              NormSpec(q=1, delta=0.5, R=3.0, t=0.5, subtract=(1.0, 0.0)))
+        assert res.value_pow_q == pytest.approx(30.5351944518, rel=1e-9)
+
+    @pytest.mark.parametrize("v, want", [("x", 56.0 / 3.0), ("sin(x)", 9.920407156831928)])
+    def test_speed_vanishing_on_a_line_is_resolved(self, v, want):
+        # c1 = c2 = 0: |u| = sqrt(2) |v(x - y)| vanishes on lines crossing
+        # every ring; for v = x the integral is 8 (R^3 - delta^3) / 3.
+        res = annulus_lq_norm(twin_wave(v, 0.0, 0.0, 1.0),
+                              NormSpec(q=1, delta=1.0, R=2.0, t=0.0))
+        assert res.value_pow_q == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("pid", ["ex_3_4_singular", "ex_3_10"])
     def test_annulus_crossing_a_singular_line_raises(self, pid):
         with pytest.raises(FieldError, match="angular quadrature did not converge"):

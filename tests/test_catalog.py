@@ -401,7 +401,55 @@ class TestAngularQuadrature:
         assert F[0] == pytest.approx(2 * np.pi)
         assert np.isnan(F[1]) and np.isinf(F[2])
 
+    def test_non_finite_value_in_the_bisection_returns_without_raising(self):
+        # The kink sends the row on to the bisection, whose nodes (one line
+        # per row) see NaN.
+        def f(theta, rows):
+            kink = np.abs(np.sin(theta) - 0.3)
+            return kink if np.ndim(theta) == 1 else np.full(np.shape(theta), np.nan)
+
+        F, _ = catalog.angular_quad(f, 1, **ANGULAR_TOL)
+        assert np.isnan(F[0])
+
     def test_unresolvable_singularity_raises(self):
         with pytest.raises(FieldError, match="angular quadrature did not converge"):
             catalog.angular_quad(lambda theta, rows: np.abs(np.sin(theta) - 0.3) ** -0.5,
                                  1, **ANGULAR_TOL)
+
+    def test_kink_is_resolved_by_bisection(self):
+        # integral of |sin theta - a| over one period = 4 cos(asin a) + 4 a asin a
+        a = 0.3
+        F, err = catalog.angular_quad(lambda theta, rows: np.abs(np.sin(theta) - a),
+                                      1, **ANGULAR_TOL)
+        want = 4 * math.sqrt(1 - a * a) + 4 * a * math.asin(a)
+        assert F[0] == pytest.approx(want, rel=1e-10)
+        assert err[0] <= 1e-9 * want
+
+    def test_bisected_row_value_independent_of_the_batch(self):
+        a = np.linspace(-0.9, 0.9, 64)
+
+        def kinked(rows):
+            return lambda theta, sub: np.abs(np.sin(theta) - a[rows][sub, None])
+
+        full, full_err = catalog.angular_quad(kinked(np.arange(64)), 64, **ANGULAR_TOL)
+        for i in (0, 17, 63):
+            one, one_err = catalog.angular_quad(kinked(np.array([i])), 1, **ANGULAR_TOL)
+            assert one.tobytes() == full[i:i + 1].tobytes()
+            assert one_err.tobytes() == full_err[i:i + 1].tobytes()
+
+    def test_evaluation_in_slices_changes_no_value(self, monkeypatch):
+        a = np.linspace(-0.9, 0.9, 64)
+        sizes = []
+
+        def f(theta, rows):
+            sizes.append(np.broadcast_shapes(np.shape(theta), (len(rows), 1)))
+            smooth = np.exp(ANGULAR_K[rows][:, None] * np.cos(theta))
+            return np.where(rows[:, None] % 2 == 0, smooth, np.abs(np.sin(theta) - a[rows][:, None]))
+
+        F, err = catalog.angular_quad(f, 64, **ANGULAR_TOL)
+        assert max(r * c for r, c in sizes) > 1024
+        sizes.clear()
+        monkeypatch.setattr(catalog, "ANGULAR_CHUNK", 1024)
+        F_sliced, err_sliced = catalog.angular_quad(f, 64, **ANGULAR_TOL)
+        assert max(r * c for r, c in sizes) <= 1024
+        assert F_sliced.tobytes() == F.tobytes() and err_sliced.tobytes() == err.tobytes()

@@ -125,6 +125,23 @@ class TestNorm:
         assert doc["provenance"].startswith("polar")
         assert doc["value_pow_q"] == pytest.approx(7.526412809725809, rel=1e-10)
 
+    def test_polar_norm_with_a_vanishing_speed(self, capsys, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
+                                 "params": {"v": "x", "c1": 0, "c2": 0, "c3": 1}}))
+        code, out, _ = run(capsys, "norm", str(p), "--q", "1", "--delta", "1", "--R", "2")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(56.0 / 3.0, rel=1e-9)
+
+    def test_non_finite_norm_is_an_error(self, capsys, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
+                                 "params": {"v": "exp(1000*x)", "c1": 0, "c2": 0, "c3": 1}}))
+        code, out, err = run(capsys, "norm", str(p), "--delta", "1", "--R", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
+
     def test_annulus_crossing_a_singular_line_is_input_error(self, capsys):
         code, out, err = run(capsys, "norm", "ex_3_4_singular", "--delta", "1", "--R", "2",
                              "--t", "0.3")
