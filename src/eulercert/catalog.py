@@ -40,6 +40,7 @@ from .fields import (
     SingularSetDescriptor,
     SolutionPair,
     VelocityJet,
+    phase_field_jet,
     radial_field_jet,
 )
 
@@ -378,22 +379,8 @@ def twin_wave(
         return np.stack([val + c1, c3 * val + c2], axis=1)
 
     def velocity_jet(X, T):
-        n = len(X)
         jet = eval_jet(v_ast, Jet2.variable(_xi(X, T)), params)
-        val = np.broadcast_to(np.asarray(jet.value, dtype=float), (n,))
-        vp = np.broadcast_to(np.asarray(jet.d1, dtype=float), (n,))
-        vpp = np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
-        c3vp = c3 * vp
-        jac = np.empty((n, 2, 2))
-        jac[:, 0, 0] = c3vp
-        jac[:, 0, 1] = -vp
-        jac[:, 1, 0] = c3 * c3vp
-        jac[:, 1, 1] = -c3vp
-        lapfac = (1.0 + c3 * c3) * vpp
-        lap = np.stack([lapfac, c3 * lapfac], axis=1)
-        dt = np.stack([-speed * vp, -speed * c3vp], axis=1)
-        value = np.stack([val + c1, c3 * val + c2], axis=1)
-        return VelocityJet(value, jac, lap, dt)
+        return phase_field_jet(len(X), (jet, jet), (1.0, c3), (c1, c2), (c3, -1.0), None, -speed)
 
     def pressure_gradient(X, T):
         return np.zeros((len(X), 2))
@@ -401,7 +388,6 @@ def twin_wave(
     def pressure_val(X, T):
         return np.zeros(len(X))
 
-    norm = math.hypot(c3, 1.0)
     primitives = tuple(
         MovingLine((c3, -1.0), float(off), speed) for off in singular_offsets
     )
@@ -415,8 +401,6 @@ def twin_wave(
         "ij_index": (1, 3),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
         "default_time": (0.0, 1.0),
-        "wave_speed": speed,
-        "wave_normal": (c3 / norm, -1.0 / norm),
         "transform_chain": [],
     }
     return SolutionPair(
@@ -632,7 +616,6 @@ def ns_halfspace_blowup(
         "default_box": ((-1.0, 1.0),) * 3,
         "default_time": (0.0, 0.9 * T),
         "boundary_speed": _boundary_speed,
-        "boundary_point": x0,
         "transform_chain": [],
     }
     return SolutionPair(
@@ -678,13 +661,6 @@ class TransformSpec:
             raise FieldError("rescale requires lam > 0 and tau > 0")
         return TransformSpec(kind="rescale", lam=float(lam), tau=float(tau))
 
-    def as_dict(self) -> dict:
-        if self.kind == "boost":
-            return {"kind": "boost", "velocity": list(self.velocity)}
-        if self.kind == "rotation":
-            return {"kind": "rotation", "angle": self.angle}
-        return {"kind": "rescale", "lam": self.lam, "tau": self.tau}
-
     @staticmethod
     def from_dict(d: dict) -> "TransformSpec":
         kind = d.get("kind")
@@ -697,151 +673,101 @@ class TransformSpec:
         raise FieldError(f"unknown transform kind {kind!r}")
 
 
-def _chain_metadata(sol: SolutionPair, entry: dict, **extra) -> dict:
+def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
+          lam: float = 1.0, tau: float = 1.0, Q: Optional[np.ndarray] = None,
+          C: Optional[np.ndarray] = None) -> SolutionPair:
+    """The pair w(x,t) = (lam/tau) Q^T u(Q (x - C t)/lam, t/tau) + C, with
+    grad pbar = (lam/tau^2) Q^T grad p and pbar = (lam/tau)^2 p at the same
+    point, viscosity sigma lam^2 / tau and exclusion radius lam r.
+
+    ``entry`` extends the transform chain; ``singular`` is the mapped
+    singular set.  A factor that is exactly 1, or an absent Q or C, is
+    skipped: the identity changes no bit, and the hot paths skip its work.
+    """
+    base_v, base_j = sol.velocity, sol.velocity_jet
+    base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
+    base_cut = sol.pressure_cut_clearance
+    amp, scaled = lam / tau, (lam, tau) != (1.0, 1.0)
+
+    def pull(X, T):
+        if C is not None:
+            X = X - np.outer(T, C)
+        if Q is not None:
+            X = X @ Q.T
+        return (X / lam, T / tau) if scaled else (X, T)
+
+    def velocity(X, T):
+        u = base_v(*pull(X, T))
+        if Q is not None:
+            u = u @ Q
+        if scaled:
+            u = amp * u
+        return u if C is None else u + C
+
+    def velocity_jet(X, T):
+        jet = base_j(*pull(X, T))
+        value, jac, lap, dt = jet.value, jet.jacobian, jet.laplacian, jet.dt
+        if Q is not None:
+            value, lap, dt = value @ Q, lap @ Q, dt @ Q
+            jac = np.einsum("ji,njk,kl->nil", Q, jac, Q)
+        if scaled:
+            value, jac, lap, dt = amp * value, jac / tau, lap / (lam * tau), (lam / tau**2) * dt
+        if C is not None:
+            value, dt = value + C, dt - np.einsum("nij,j->ni", jac, C)
+        return VelocityJet(value, jac, lap, dt)
+
+    def pressure_gradient(X, T):
+        g = base_pg(*pull(X, T))
+        if Q is not None:
+            g = g @ Q
+        return (lam / tau**2) * g if scaled else g
+
+    def pressure_val(X, T):
+        p = base_pv(*pull(X, T))
+        return amp * amp * p if scaled else p
+
+    def cut(X, T):
+        c = base_cut(*pull(X, T))
+        return lam * c if scaled else c
+
     md = dict(sol.metadata)
     md["transform_chain"] = list(md.get("transform_chain", [])) + [entry]
-    md.update(extra)
-    return md
-
-
-def _boosted(sol: SolutionPair, C: np.ndarray) -> SolutionPair:
-    if len(C) != sol.dimension:
-        raise FieldError("boost velocity dimension must match the solution dimension")
-    base_v, base_j = sol.velocity, sol.velocity_jet
-    base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
-    base_cut = sol.pressure_cut_clearance
-
-    def pull(X, T):
-        return X - np.outer(T, C)
-
-    def velocity(X, T):
-        return base_v(pull(X, T), T) + C
-
-    def velocity_jet(X, T):
-        jet = base_j(pull(X, T), T)
-        dt = jet.dt - np.einsum("nij,j->ni", jet.jacobian, C)
-        return VelocityJet(jet.value + C, jet.jacobian, jet.laplacian, dt)
-
-    def pressure_gradient(X, T):
-        return base_pg(pull(X, T), T)
-
-    pv = (lambda X, T: base_pv(pull(X, T), T)) if base_pv is not None else None
-    cut = (lambda X, T: base_cut(pull(X, T), T)) if base_cut is not None else None
-
-    total = np.asarray(sol.metadata.get("boost_total", np.zeros(sol.dimension))) + C
-    md = _chain_metadata(sol, {"kind": "boost", "velocity": list(map(float, C))},
-                         boost_total=tuple(map(float, total)))
+    if C is not None or "boost_total" in md:
+        total = np.asarray(md.get("boost_total", np.zeros(sol.dimension)))
+        if Q is not None:
+            total = Q.T @ total
+        if scaled:
+            total = amp * total
+        md["boost_total"] = tuple(map(float, total if C is None else total + C))
+    scaled_fields = {}
+    if scaled:
+        scaled_fields = {"viscosity": sol.viscosity * lam * lam / tau,
+                         "exclusion_radius": lam * sol.exclusion_radius}
+        if "default_box" in md:
+            md["default_box"] = tuple((lam * lo, lam * hi) for lo, hi in md["default_box"])
+        if "default_time" in md:
+            t0, t1 = md["default_time"]
+            md["default_time"] = (tau * t0, tau * t1)
+        if "radial_speed" in md:
+            base_speed = md["radial_speed"]
+            md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam, t / tau)
     return replace(
         sol,
         velocity=velocity,
         velocity_jet=velocity_jet,
         pressure_gradient=pressure_gradient,
-        pressure_value=pv,
-        pressure_cut_clearance=cut,
-        singular=sol.singular.boosted(C),
+        pressure_value=pressure_val if base_pv is not None else None,
+        pressure_cut_clearance=cut if base_cut is not None else None,
+        singular=singular,
         metadata=md,
-    )
-
-
-def _rotated(sol: SolutionPair, angle: float) -> SolutionPair:
-    if sol.dimension != 2:
-        raise FieldError("rotation is only defined for 2D solutions")
-    ca, sa = math.cos(angle), math.sin(angle)
-    Q = np.array([[ca, -sa], [sa, ca]])
-    base_v, base_j = sol.velocity, sol.velocity_jet
-    base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
-    base_cut = sol.pressure_cut_clearance
-
-    def pull(X):
-        return X @ Q.T
-
-    def velocity(X, T):
-        return base_v(pull(X), T) @ Q
-
-    def velocity_jet(X, T):
-        jet = base_j(pull(X), T)
-        jac = np.einsum("ji,njk,kl->nil", Q, jet.jacobian, Q)
-        return VelocityJet(jet.value @ Q, jac, jet.laplacian @ Q, jet.dt @ Q)
-
-    def pressure_gradient(X, T):
-        return base_pg(pull(X), T) @ Q
-
-    pv = (lambda X, T: base_pv(pull(X), T)) if base_pv is not None else None
-    cut = (lambda X, T: base_cut(pull(X), T)) if base_cut is not None else None
-
-    md = _chain_metadata(sol, {"kind": "rotation", "angle": float(angle)})
-    if "boost_total" in md:
-        md["boost_total"] = tuple(map(float, Q.T @ np.asarray(md["boost_total"])))
-    return replace(
-        sol,
-        velocity=velocity,
-        velocity_jet=velocity_jet,
-        pressure_gradient=pressure_gradient,
-        pressure_value=pv,
-        pressure_cut_clearance=cut,
-        singular=sol.singular.rotated(Q),
-        metadata=md,
-    )
-
-
-def _rescaled(sol: SolutionPair, lam: float, tau: float) -> SolutionPair:
-    base_v, base_j = sol.velocity, sol.velocity_jet
-    base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
-    base_cut = sol.pressure_cut_clearance
-    amp = lam / tau
-
-    def pull(X, T):
-        return X / lam, T / tau
-
-    def velocity(X, T):
-        Y, S = pull(X, T)
-        return amp * base_v(Y, S)
-
-    def velocity_jet(X, T):
-        Y, S = pull(X, T)
-        jet = base_j(Y, S)
-        return VelocityJet(
-            amp * jet.value,
-            jet.jacobian / tau,
-            jet.laplacian / (lam * tau),
-            (lam / tau**2) * jet.dt,
-        )
-
-    def pressure_gradient(X, T):
-        Y, S = pull(X, T)
-        return (lam / tau**2) * base_pg(Y, S)
-
-    pv = (lambda X, T: amp * amp * base_pv(*pull(X, T))) if base_pv is not None else None
-    cut = (lambda X, T: lam * base_cut(*pull(X, T))) if base_cut is not None else None
-
-    md = _chain_metadata(sol, {"kind": "rescale", "lam": float(lam), "tau": float(tau)})
-    if "boost_total" in md:
-        md["boost_total"] = tuple(amp * v for v in md["boost_total"])
-    if "default_box" in md:
-        md["default_box"] = tuple((lam * lo, lam * hi) for lo, hi in md["default_box"])
-    if "default_time" in md:
-        t0, t1 = md["default_time"]
-        md["default_time"] = (tau * t0, tau * t1)
-    if "radial_speed" in md:
-        base_speed = md["radial_speed"]
-        md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam, t / tau)
-    return replace(
-        sol,
-        viscosity=sol.viscosity * lam * lam / tau,
-        velocity=velocity,
-        velocity_jet=velocity_jet,
-        pressure_gradient=pressure_gradient,
-        pressure_value=pv,
-        pressure_cut_clearance=cut,
-        singular=sol.singular.rescaled(lam, tau),
-        exclusion_radius=lam * sol.exclusion_radius,
-        metadata=md,
+        **scaled_fields,
     )
 
 
 def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
     """Apply a solution-preserving symmetry; transforms compose freely.
 
+    Each kind is one ``_step``:
     boost:    w(x,t) = u(x - C t, t) + C
     rotation: w(x,t) = Q^T u(Q x, t), grad pbar = Q^T grad p(Q x, t)
     rescale:  w(x,t) = (lam/tau) u(x/lam, t/tau),
@@ -849,11 +775,22 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
               viscosity sigma -> sigma lam^2 / tau
     """
     if tr.kind == "boost":
-        return _boosted(sol, np.asarray(tr.velocity, dtype=float))
+        C = np.asarray(tr.velocity, dtype=float)
+        if len(C) != sol.dimension:
+            raise FieldError("boost velocity dimension must match the solution dimension")
+        return _step(sol, {"kind": "boost", "velocity": list(map(float, C))},
+                     sol.singular.mapped(lambda p: p.boosted(C)), C=C)
     if tr.kind == "rotation":
-        return _rotated(sol, tr.angle)
+        if sol.dimension != 2:
+            raise FieldError("rotation is only defined for 2D solutions")
+        ca, sa = math.cos(tr.angle), math.sin(tr.angle)
+        Q = np.array([[ca, -sa], [sa, ca]])
+        return _step(sol, {"kind": "rotation", "angle": float(tr.angle)},
+                     sol.singular.mapped(lambda p: p.rotated(Q)), Q=Q)
     if tr.kind == "rescale":
-        return _rescaled(sol, tr.lam, tr.tau)
+        return _step(sol, {"kind": "rescale", "lam": float(tr.lam), "tau": float(tr.tau)},
+                     sol.singular.mapped(lambda p: p.rescaled(tr.lam, tr.tau)),
+                     lam=tr.lam, tau=tr.tau)
     raise FieldError(f"unknown transform kind {tr.kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Space-time field types, singular-set geometry, and radial jet assembly.
+"""Space-time field types, singular-set geometry, and radial and phase jets.
 
 Velocity fields are evaluated in batches: positions are float64 arrays of
 shape (N, dim) and times arrays of shape (N,).  A VelocityJet bundles the
@@ -13,7 +13,7 @@ the primary object and the pressure value only away from the cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ __all__ = [
     "SolutionPair",
     "DEFAULT_EXCLUSION_RADIUS",
     "radial_field_jet",
+    "phase_field_jet",
     "vorticity",
     "pressure_value",
 ]
@@ -265,23 +266,11 @@ class SingularSetDescriptor:
         times = [p.T for p in self.primitives if isinstance(p, BlowupTime)]
         return min(times) if times else None
 
-    def boosted(self, C):
-        return SingularSetDescriptor(
-            tuple(p.boosted(C) for p in self.primitives),
-            tuple(p.boosted(C) for p in self.pressure_cut),
-        )
-
-    def rotated(self, Q):
-        return SingularSetDescriptor(
-            tuple(p.rotated(Q) for p in self.primitives),
-            tuple(p.rotated(Q) for p in self.pressure_cut),
-        )
-
-    def rescaled(self, lam, tau):
-        return SingularSetDescriptor(
-            tuple(p.rescaled(lam, tau) for p in self.primitives),
-            tuple(p.rescaled(lam, tau) for p in self.pressure_cut),
-        )
+    def mapped(self, move) -> "SingularSetDescriptor":
+        """The set with every primitive p replaced by ``move(p)``, its image
+        under a transform."""
+        return SingularSetDescriptor(tuple(map(move, self.primitives)),
+                                     tuple(map(move, self.pressure_cut)))
 
     def describe(self) -> str:
         if not self.primitives and not self.pressure_cut:
@@ -354,12 +343,6 @@ class SolutionPair:
         return f"{self.name}: dim={self.dimension}, sigma={self.viscosity}{suffix}"
 
 
-def with_metadata(sol: SolutionPair, **entries) -> SolutionPair:
-    md = dict(sol.metadata)
-    md.update(entries)
-    return replace(sol, metadata=md)
-
-
 # ---------------------------------------------------------------------------
 # Radial rotational pattern
 #
@@ -393,6 +376,33 @@ def radial_field_jet(phi: Jet2, Y: np.ndarray, r: np.ndarray):
     value = np.stack([phi.value * y2, -phi.value * y1], axis=1)
     lap = np.stack([lapfac * y2, -lapfac * y1], axis=1)
     return value, jac, lap
+
+
+def phase_field_jet(n: int, profiles, coeffs, offsets, grad, lap, dt) -> VelocityJet:
+    """Jet of the planar field u_i = a_i V_i(eta) + c_i of one scalar phase eta.
+
+    ``profiles[i]`` is the jet of V_i at eta (components may share one jet),
+    ``coeffs`` holds the a_i and ``offsets`` the c_i (None for zero).  The
+    phase enters through its gradient ``grad`` = (d1 eta, d2 eta), its
+    Laplacian ``lap`` (None when eta is linear) and its time derivative
+    ``dt``; each is a scalar or has shape (n,).  By the chain rule
+    du_i/dx_j = d_j eta a_i V_i', lap u_i = a_i (|grad eta|^2 V_i'' +
+    lap eta V_i') and du_i/dt = d_t eta a_i V_i'.
+    """
+    value, jac = np.empty((n, 2)), np.empty((n, 2, 2))
+    lap_u, dt_u = np.empty((n, 2)), np.empty((n, 2))
+    grad2 = grad[0] * grad[0] + grad[1] * grad[1]
+    for i, (V, a) in enumerate(zip(profiles, coeffs)):
+        v, vp, vpp = V.value, V.d1, V.d2
+        curv = grad2 * vpp if lap is None else grad2 * vpp + vp * lap
+        if a != 1.0:
+            v, vp, curv = a * v, a * vp, a * curv
+        value[:, i] = v if offsets is None else v + offsets[i]
+        jac[:, i, 0] = grad[0] * vp
+        jac[:, i, 1] = grad[1] * vp
+        lap_u[:, i] = curv
+        dt_u[:, i] = dt * vp
+    return VelocityJet(value, jac, lap_u, dt_u)
 
 
 def vorticity(sol: SolutionPair, point: SpaceTimePoint) -> float:

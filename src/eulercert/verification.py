@@ -15,6 +15,7 @@ accepted points are exactly those of drawing one value at a time with
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -295,54 +296,58 @@ def _clearance_capped_steps(sol, X, T, base, fraction):
     return hx, ht
 
 
-def _fd1(fm2, fm1, fp1, fp2, h):
+def _shifted(f, X, T, axis, h):
+    """``f`` at the points moved by -2h, -h, h, 2h along ``axis``, where axes
+    0 .. dim-1 are the coordinates and axis dim is time; ``h`` is a step per
+    point or one step for all."""
+    def at(m):
+        if axis == X.shape[1]:
+            return f(X, T + m * h)
+        Xs = X.copy()
+        Xs[:, axis] = Xs[:, axis] + m * h
+        return f(Xs, T)
+
+    return [at(m) for m in (-2, -1, 1, 2)]
+
+
+def _fd1(values, h):
+    fm2, fm1, fp1, fp2 = values
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
-def _fd2(fm2, fm1, f0, fp1, fp2, h):
+def _fd2(values, f0, h):
+    fm2, fm1, fp1, fp2 = values
     return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
-def _fd_velocity_jet(sol: SolutionPair, X, T):
-    """Jacobian, Laplacian and time derivative from 4th-order value stencils."""
-    n, dim = X.shape
-    hx1, ht1 = _clearance_capped_steps(sol, X, T, FD_STEP1, FD_CLEARANCE_FRACTION)
-    hx2, _ = _clearance_capped_steps(sol, X, T, FD_STEP2_FACTOR * FD_STEP1,
-                                     FD_CLEARANCE_FRACTION)
+def _fd_velocity_jet(sol: SolutionPair, X, T, steps=None):
+    """Jacobian, Laplacian and time derivative from 4th-order value stencils.
 
+    ``steps`` is (hx1, ht1, hx2): first-derivative steps in x and in t and
+    second-derivative steps in x; by default the clearance-capped policy.
+    """
+    n, dim = X.shape
+    if steps is None:
+        hx1, ht1 = _clearance_capped_steps(sol, X, T, FD_STEP1, FD_CLEARANCE_FRACTION)
+        hx2, _ = _clearance_capped_steps(sol, X, T, FD_STEP2_FACTOR * FD_STEP1,
+                                         FD_CLEARANCE_FRACTION)
+    else:
+        hx1, ht1, hx2 = steps
     f0 = sol.velocity(X, T)
     jac = np.empty((n, dim, dim))
     lap = np.zeros((n, dim))
     for j in range(dim):
-        h1 = hx1[:, j]
-        h2 = hx2[:, j]
-
-        def shifted(mult, h):
-            Xs = X.copy()
-            Xs[:, j] = Xs[:, j] + mult * h
-            return sol.velocity(Xs, T)
-
-        jac[:, :, j] = _fd1(shifted(-2, h1), shifted(-1, h1),
-                            shifted(1, h1), shifted(2, h1), h1[:, None])
-        lap += _fd2(shifted(-2, h2), shifted(-1, h2), f0,
-                    shifted(1, h2), shifted(2, h2), h2[:, None])
-
-    dt = _fd1(sol.velocity(X, T - 2 * ht1), sol.velocity(X, T - ht1),
-              sol.velocity(X, T + ht1), sol.velocity(X, T + 2 * ht1), ht1[:, None])
+        jac[:, :, j] = _fd1(_shifted(sol.velocity, X, T, j, hx1[:, j]), hx1[:, j, None])
+        lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), f0, hx2[:, j, None])
+    dt = _fd1(_shifted(sol.velocity, X, T, dim, ht1), ht1[:, None])
     return jac, lap, dt
 
 
 def _fd_pressure_gradient(sol: SolutionPair, X, T):
-    n, dim = X.shape
     hx, _ = _clearance_capped_steps(sol, X, T, FD_STEP1, FD_CLEARANCE_FRACTION)
-    grad = np.empty((n, dim))
-    for j in range(dim):
-        h = hx[:, j]
-        def shifted(mult):
-            Xs = X.copy()
-            Xs[:, j] = Xs[:, j] + mult * h
-            return sol.pressure_value(Xs, T)
-        grad[:, j] = _fd1(shifted(-2), shifted(-1), shifted(1), shifted(2), h)
+    grad = np.empty(X.shape)
+    for j in range(X.shape[1]):
+        grad[:, j] = _fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
     return grad
 
 
@@ -365,38 +370,17 @@ def fd_crosscheck(sol: SolutionPair, point: SpaceTimePoint, h: Optional[float] =
         clear = float(sol.singular.clearance(X, T)[0])
         if clear < 2.5 * FD_STEP2_FACTOR * h:
             raise InadmissiblePointError("finite-difference stencil leaves the admissible region")
-        return float(_fd_panel_fixed(sol, X, T, h)[0])
+        hx = np.full(X.shape, float(h))
+        return float(_fd_panel(sol, X, T, (hx, hx[:, 0], FD_STEP2_FACTOR * hx))[0])
     return float(_fd_panel(sol, X, T)[0])
 
 
-def _fd_panel(sol, X, T) -> np.ndarray:
+def _fd_panel(sol, X, T, steps=None) -> np.ndarray:
     jet = sol.velocity_jet(X, T)
-    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T)
+    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps)
     d = _rel_discrepancy(jet.jacobian, jac_fd).reshape(len(X), -1).max(axis=1)
     d = np.maximum(d, _rel_discrepancy(jet.laplacian, lap_fd).max(axis=1))
     d = np.maximum(d, _rel_discrepancy(jet.dt, dt_fd).max(axis=1))
-    return d
-
-
-def _fd_panel_fixed(sol, X, T, h) -> np.ndarray:
-    n, dim = X.shape
-    jet = sol.velocity_jet(X, T)
-    f0 = sol.velocity(X, T)
-    h2 = FD_STEP2_FACTOR * h
-    d = np.zeros(n)
-    lap = np.zeros((n, dim))
-    for j in range(dim):
-        def shifted(mult, step):
-            Xs = X.copy()
-            Xs[:, j] = Xs[:, j] + mult * step
-            return sol.velocity(Xs, T)
-        col = _fd1(shifted(-2, h), shifted(-1, h), shifted(1, h), shifted(2, h), h)
-        d = np.maximum(d, _rel_discrepancy(jet.jacobian[:, :, j], col).max(axis=1))
-        lap += _fd2(shifted(-2, h2), shifted(-1, h2), f0, shifted(1, h2), shifted(2, h2), h2)
-    d = np.maximum(d, _rel_discrepancy(jet.laplacian, lap).max(axis=1))
-    dt = _fd1(sol.velocity(X, T - 2 * h), sol.velocity(X, T - h),
-              sol.velocity(X, T + h), sol.velocity(X, T + 2 * h), h)
-    d = np.maximum(d, _rel_discrepancy(jet.dt, dt).max(axis=1))
     return d
 
 
@@ -420,20 +404,9 @@ def _vorticity_transport_batch(sol: SolutionPair, X, T) -> np.ndarray:
     cap = np.where(np.isfinite(clear), VORT_CLEARANCE_FRACTION * clear, np.inf)
     h = np.minimum(VORT_STEP, cap)
     u = sol.velocity(X, T)
-    res = None
-    for axis in range(3):  # x1, x2, t
-        if axis < 2:
-            def om(mult):
-                Xs = X.copy()
-                Xs[:, axis] = Xs[:, axis] + mult * h
-                return vorticity_batch(sol, Xs, T)
-        else:
-            def om(mult):
-                return vorticity_batch(sol, X, T + mult * h)
-        deriv = _fd1(om(-2), om(-1), om(1), om(2), h)
-        term = deriv if axis == 2 else u[:, axis] * deriv
-        res = term if res is None else res + term
-    return res
+    omega = functools.partial(vorticity_batch, sol)
+    d1, d2, dt = (_fd1(_shifted(omega, X, T, axis, h), h) for axis in range(3))  # x1, x2, t
+    return u[:, 0] * d1 + u[:, 1] * d2 + dt
 
 
 def vorticity_transport_residual(sol: SolutionPair, point: SpaceTimePoint) -> float:

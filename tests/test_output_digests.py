@@ -1,0 +1,95 @@
+"""Pinned sha256 digests of outputs that go through the transform, the
+finite-difference stencils and the phase-field jets.
+
+Certify reports (count 2000, seed 0) of transformed vortices and of twin
+waves with c3 other than 1, and the stdout of the probe and grid-dump
+commands.  The digests were recorded before those three mechanisms were
+merged into one each, so a refactor that moves a single rounding step
+fails here.  A change that alters these outputs on purpose records new
+digests and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from eulercert.catalog import TransformSpec, apply_transform, preset, twin_wave
+from eulercert.cli import main
+from eulercert.verification import certify, default_region
+
+TRANSFORMS = {
+    "boost": [TransformSpec.boost((1.0, 2.0))],
+    "rotation": [TransformSpec.rotation(0.7)],
+    "rescale": [TransformSpec.rescale(2.0, 3.0)],
+    "chain": [TransformSpec.boost((1.0, 2.0)), TransformSpec.rotation(0.7),
+              TransformSpec.rescale(2.0, 3.0)],
+}
+
+WAVES = {
+    "bump_sine": lambda: twin_wave("1/(1+x^2)^2 + sin(x)", 0.3, -0.2, 0.5),
+    "rational": lambda: twin_wave("x/(1+x^2)", 1.0, 0.5, -1.7),
+}
+
+CLI = {
+    "probe_affine": ["probe", "--mode", "affine", "--v1", "sin(x)", "--v2", "1/(1+x^2)",
+                     "--c1", "0.3"],
+    "probe_twinwave": ["probe", "--mode", "twinwave", "--u1", "1/(1+x^2)", "--u2", "x^2",
+                       "--c3", "0.5"],
+    "grid_dump_ex_3_2": ["grid-dump", "ex_3_2", "--nx", "16", "--nt", "2"],
+}
+
+TRANSFORMED_SHA256 = {
+    "ex_2_5/boost": "dd25f5e6a52c16455586e224ad427f6771d63a2f9a20525818708bbd16235219",
+    "ex_2_5/rotation": "9d5465aa45247fa861435ebda6deff8a0298dc21315d57203655db0dc5ebfde5",
+    "ex_2_5/rescale": "fa4ac709dc14563e1832d4744e3581825bf2dc4db1c41455f5c217de3d342c02",
+    "ex_2_5/chain": "552df9f2c14f88456ee9316814d4fe2689c8417fc738a65c1be473bc4b913fa8",
+    "ex_3_2/boost": "98f9a8198be2ac178e251238be4c40b83fb3cf18404d4da2c99c796ec06d30fc",
+    "ex_3_2/rotation": "6968b31241725310357b780ccf1946a3f012eb8752e8b895d3bb7e99a43b6d06",
+    "ex_3_2/rescale": "dfc901af0fca563a3dafebcf0bb68d59a8a41379b764c507ff429ab3d517caa0",
+    "ex_3_2/chain": "352534f2d1aef53908c4bead3a644553a12ba7342b2ef32b4ba9ec159b41cc03",
+}
+
+WAVE_SHA256 = {
+    "bump_sine": "bfd2af105c2689ac793b9a58ffefc83815b6eb1a4f784b65fcc853cfb8f94c0b",
+    "rational": "9dd0955084e223900ca507fd1e2cd6f7151e8a4a7f698391cee6473a83f7f8bd",
+}
+
+CLI_SHA256 = {
+    "probe_affine": "a5458ecdc2d87fd5cdf2df926d5587d58dcef348ae504971ae1730b49afa48b2",
+    "probe_twinwave": "2ed091533fc1eb1c4393cb891e0e70b3a1389777017f2e32ee901654706028b1",
+    "grid_dump_ex_3_2": "d893f57aad81b8fed4b233a0d95c29e91f3e59f4e26932345b5a3caa700fee84",
+}
+
+
+def _sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _report_sha(sol) -> str:
+    report = certify(sol, default_region(sol, count=2000, seed=0))
+    return _sha(json.dumps(report.to_dict(), indent=2) + "\n")
+
+
+def _transformed(key):
+    pid, kind = key.split("/")
+    sol = preset(pid)
+    for tr in TRANSFORMS[kind]:
+        sol = apply_transform(sol, tr)
+    return sol
+
+
+@pytest.mark.parametrize("key", sorted(TRANSFORMED_SHA256))
+def test_transformed_report_unchanged(key):
+    assert _report_sha(_transformed(key)) == TRANSFORMED_SHA256[key]
+
+
+@pytest.mark.parametrize("key", sorted(WAVE_SHA256))
+def test_twin_wave_report_unchanged(key):
+    assert _report_sha(WAVES[key]()) == WAVE_SHA256[key]
+
+
+@pytest.mark.parametrize("key", sorted(CLI_SHA256))
+def test_cli_stdout_unchanged(key, capsys):
+    assert main(CLI[key]) == 0
+    assert _sha(capsys.readouterr().out) == CLI_SHA256[key]
