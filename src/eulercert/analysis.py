@@ -71,9 +71,11 @@ class NormSpec:
     subtract: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.q < 1:
-            raise FieldError("norm exponent q must be >= 1")
-        if self.delta <= 0:
+        if not (math.isfinite(self.q) and self.q >= 1):
+            raise FieldError(f"norm exponent q must be finite and >= 1, got {self.q}")
+        if not math.isfinite(self.t):
+            raise FieldError(f"norm time t must be finite, got {self.t}")
+        if not (self.delta > 0):
             raise FieldError("annulus inner radius delta must be > 0")
         if not (self.R > self.delta):
             raise FieldError("annulus requires R > delta")
@@ -198,6 +200,8 @@ def l2_energy_difference(sol: SolutionPair, C: Sequence[float], t: float = 0.0) 
     Needs a registered decay envelope faster than 1/r; a 1/r envelope is
     reported as log-divergent, anything absent as divergent or unknown.
     """
+    if not math.isfinite(t):
+        raise FieldError(f"energy time t must be finite, got {t}")
     speed = _radial_speed(sol, tuple(C))
     if speed is None:
         return EnergyResult(None, math.inf, "divergent or unknown: no decay envelope for u - C")
@@ -316,9 +320,10 @@ DEFAULT_PROBE_REGION = SampleRegion(box=((1.0, 2.0), (1.0, 2.0)), time=(0.0, 0.5
 
 def _probe_sup(sol: SolutionPair, region: SampleRegion, include_divergence: bool) -> ProbeResult:
     X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
-    values = np.linalg.norm(_residual_batch(sol, X, T), axis=1)
+    jet = sol.velocity_jet(X, T)
+    values = np.linalg.norm(_residual_batch(sol, X, T, jet), axis=1)
     if include_divergence:
-        values = values + np.abs(_divergence_batch(sol, X, T))
+        values = values + np.abs(_divergence_batch(sol, X, T, jet))
     if not np.all(np.isfinite(values)):
         raise FieldError("probe field is not finite on the grid")
     return ProbeResult(float(values.max()), len(values), "")

@@ -288,12 +288,13 @@ def ij_vortex(
 
     def pressure_val(X, T):
         n = len(X)
-        cv, cdot, r, angle = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-        for i in range(n):
-            y1, y2 = float(X[i, 0]), float(X[i, 1])
-            cjet = eval_jet(c_ast, Jet2.variable(float(T[i])), params)
-            cv[i], cdot[i] = float(cjet.value), float(cjet.d1)
-            r[i], angle[i] = math.hypot(y1, y2), math.atan2(y1, y2)
+        cjet = eval_jet(c_ast, Jet2.variable(T), params)
+        cv, cdot = (np.broadcast_to(v, (n,)) for v in (cjet.value, cjet.d1))
+        # libm's hypot and atan2, row by row: numpy's SIMD arctan2 and hypot
+        # differ from them in the last bit on some inputs and hosts
+        y1, y2 = X[:, 0].tolist(), X[:, 1].tolist()
+        r = np.fromiter(map(math.hypot, y1, y2), float, n)
+        angle = np.fromiter(map(math.atan2, y1, y2), float, n)
 
         def integrand(rho, rows):
             g = cv[rows, None] / (rho * rho) + h_real(rho)

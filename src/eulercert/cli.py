@@ -448,6 +448,8 @@ def cmd_grid_dump(args) -> int:
         box = [tuple(b) for b in sol.metadata.get("default_box", ((-3.0, 3.0),) * dim)]
     T = sol.singular.blowup_time()
     tmax = args.until * T if T is not None else sol.metadata.get("default_time", (0.0, 1.0))[1]
+    if args.nx < 1 or args.nt < 1:
+        raise SpecError(f"--nx and --nt must be >= 1, got {args.nx} and {args.nt}")
     axes = [np.linspace(lo, hi, args.nx) for lo, hi in box]
     ts = np.linspace(0.0, tmax, args.nt)
 
@@ -469,8 +471,9 @@ def cmd_grid_dump(args) -> int:
         if ok.any():
             Xa, Ta = Xflat[ok], Tflat[ok]
             u[ok] = sol.velocity(Xa, Ta)
-            res[ok] = np.linalg.norm(_residual_batch(sol, Xa, Ta), axis=1)
-            div[ok] = _divergence_batch(sol, Xa, Ta)
+            jet = sol.velocity_jet(Xa, Ta)
+            res[ok] = np.linalg.norm(_residual_batch(sol, Xa, Ta, jet), axis=1)
+            div[ok] = _divergence_batch(sol, Xa, Ta, jet)
         bad = ~ok
         if bad.any():
             for i in np.flatnonzero(bad):

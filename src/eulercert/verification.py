@@ -103,6 +103,12 @@ class Tolerances:
     fd: float = 1e-5
     vorticity: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("residual", "divergence", "fd", "vorticity"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise FieldError(f"{name} tolerance must be finite and >= 0, got {tol}")
+
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -257,8 +263,8 @@ def sample_points(region: SampleRegion, sing: SingularSetDescriptor,
 # ---------------------------------------------------------------------------
 
 
-def _residual_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    jet = sol.velocity_jet(X, T)
+def _residual_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray, jet) -> np.ndarray:
+    """Momentum residual rows; ``jet`` is ``sol.velocity_jet(X, T)``."""
     grad_p = sol.pressure_gradient(X, T)
     convect = np.einsum("nij,nj->ni", jet.jacobian, jet.value)
     res = jet.dt + convect + grad_p
@@ -271,7 +277,7 @@ def momentum_residual(sol: SolutionPair, point: SpaceTimePoint) -> np.ndarray:
     """u_t + (u . grad) u + grad p - sigma lap u at one admissible point."""
     sol.check_admissible(point)
     X, T = point.arrays()
-    return _residual_batch(sol, X, T)[0]
+    return _residual_batch(sol, X, T, sol.velocity_jet(X, T))[0]
 
 
 def divergence(sol: SolutionPair, point: SpaceTimePoint) -> float:
@@ -282,14 +288,13 @@ def divergence(sol: SolutionPair, point: SpaceTimePoint) -> float:
     return float(np.trace(jet.jacobian[0]))
 
 
-def _divergence_batch(sol: SolutionPair, X, T) -> np.ndarray:
-    jet = sol.velocity_jet(X, T)
+def _divergence_batch(sol: SolutionPair, X, T, jet) -> np.ndarray:
     return np.einsum("nii->n", jet.jacobian)
 
 
-def _clearance_capped_steps(sol, X, T, base, fraction):
-    """Per-point steps: base * max(1, |coord|), capped near the singular set."""
-    clear = sol.singular.clearance(X, T)
+def _clearance_capped_steps(X, T, clear, base, fraction):
+    """Per-point steps: base * max(1, |coord|), capped at ``fraction`` of the
+    clearance ``clear`` to the singular set."""
     cap = np.where(np.isfinite(clear), fraction * clear, np.inf)
     hx = np.minimum(base * np.maximum(1.0, np.abs(X)), cap[:, None])
     ht = np.minimum(base * np.maximum(1.0, np.abs(T)), cap)
@@ -320,31 +325,34 @@ def _fd2(values, f0, h):
     return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
-def _fd_velocity_jet(sol: SolutionPair, X, T, steps=None):
+def _fd_steps(X, T, clear):
+    """The default (clearance-capped) ``steps`` of ``_fd_velocity_jet``."""
+    hx1, ht1 = _clearance_capped_steps(X, T, clear, FD_STEP1, FD_CLEARANCE_FRACTION)
+    hx2, _ = _clearance_capped_steps(X, T, clear, FD_STEP2_FACTOR * FD_STEP1,
+                                     FD_CLEARANCE_FRACTION)
+    return hx1, ht1, hx2
+
+
+def _fd_velocity_jet(sol: SolutionPair, X, T, steps, u):
     """Jacobian, Laplacian and time derivative from 4th-order value stencils.
 
     ``steps`` is (hx1, ht1, hx2): first-derivative steps in x and in t and
-    second-derivative steps in x; by default the clearance-capped policy.
+    second-derivative steps in x; ``u`` is the velocity at the points.
     """
     n, dim = X.shape
-    if steps is None:
-        hx1, ht1 = _clearance_capped_steps(sol, X, T, FD_STEP1, FD_CLEARANCE_FRACTION)
-        hx2, _ = _clearance_capped_steps(sol, X, T, FD_STEP2_FACTOR * FD_STEP1,
-                                         FD_CLEARANCE_FRACTION)
-    else:
-        hx1, ht1, hx2 = steps
-    f0 = sol.velocity(X, T)
+    hx1, ht1, hx2 = steps
     jac = np.empty((n, dim, dim))
     lap = np.zeros((n, dim))
     for j in range(dim):
         jac[:, :, j] = _fd1(_shifted(sol.velocity, X, T, j, hx1[:, j]), hx1[:, j, None])
-        lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), f0, hx2[:, j, None])
+        lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), u, hx2[:, j, None])
     dt = _fd1(_shifted(sol.velocity, X, T, dim, ht1), ht1[:, None])
     return jac, lap, dt
 
 
 def _fd_pressure_gradient(sol: SolutionPair, X, T):
-    hx, _ = _clearance_capped_steps(sol, X, T, FD_STEP1, FD_CLEARANCE_FRACTION)
+    hx, _ = _clearance_capped_steps(X, T, sol.singular.clearance(X, T), FD_STEP1,
+                                    FD_CLEARANCE_FRACTION)
     grad = np.empty(X.shape)
     for j in range(X.shape[1]):
         grad[:, j] = _fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
@@ -366,18 +374,27 @@ def fd_crosscheck(sol: SolutionPair, point: SpaceTimePoint, h: Optional[float] =
     """
     sol.check_admissible(point)
     X, T = point.arrays()
-    if h is not None:
-        clear = float(sol.singular.clearance(X, T)[0])
-        if clear < 2.5 * FD_STEP2_FACTOR * h:
-            raise InadmissiblePointError("finite-difference stencil leaves the admissible region")
-        hx = np.full(X.shape, float(h))
-        return float(_fd_panel(sol, X, T, (hx, hx[:, 0], FD_STEP2_FACTOR * hx))[0])
-    return float(_fd_panel(sol, X, T)[0])
+    if h is None:
+        return float(_fd_panel(sol, X, T)[0])
+    if float(sol.singular.clearance(X, T)[0]) < 2.5 * FD_STEP2_FACTOR * h:
+        raise InadmissiblePointError("finite-difference stencil leaves the admissible region")
+    hx = np.full(X.shape, float(h))
+    steps = (hx, hx[:, 0], FD_STEP2_FACTOR * hx)
+    return float(_fd_panel(sol, X, T, sol.velocity_jet(X, T), sol.velocity(X, T), steps)[0])
 
 
-def _fd_panel(sol, X, T, steps=None) -> np.ndarray:
-    jet = sol.velocity_jet(X, T)
-    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps)
+def _fd_panel(sol, X, T, jet=None, u=None, steps=None) -> np.ndarray:
+    """Per-point max relative discrepancy between the analytic jet and the
+    stencils.
+
+    ``jet``, ``u`` and ``steps`` are the velocity jet and the velocity at the
+    points and the ``_fd_velocity_jet`` steps; called with ``(sol, X, T)``
+    alone it evaluates all three, with the default steps.
+    """
+    if jet is None:
+        jet, u = sol.velocity_jet(X, T), sol.velocity(X, T)
+        steps = _fd_steps(X, T, sol.singular.clearance(X, T))
+    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
     d = _rel_discrepancy(jet.jacobian, jac_fd).reshape(len(X), -1).max(axis=1)
     d = np.maximum(d, _rel_discrepancy(jet.laplacian, lap_fd).max(axis=1))
     d = np.maximum(d, _rel_discrepancy(jet.dt, dt_fd).max(axis=1))
@@ -391,19 +408,19 @@ def residual_fd_only(sol: SolutionPair, X, T) -> np.ndarray:
     closed-form.  Used as the oracle-independence check.
     """
     u = sol.velocity(X, T)
-    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T)
+    steps = _fd_steps(X, T, sol.singular.clearance(X, T))
+    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
     res = dt_fd + np.einsum("nij,nj->ni", jac_fd, u) + sol.pressure_gradient(X, T)
     if sol.viscosity != 0.0:
         res = res - sol.viscosity * lap_fd
     return res
 
 
-def _vorticity_transport_batch(sol: SolutionPair, X, T) -> np.ndarray:
-    """omega_t + u . grad omega by central differences of the vorticity."""
-    clear = sol.singular.clearance(X, T)
+def _vorticity_transport_batch(sol: SolutionPair, X, T, u, clear) -> np.ndarray:
+    """omega_t + u . grad omega by central differences of the vorticity;
+    ``u`` and ``clear`` are the velocity and the clearance at the points."""
     cap = np.where(np.isfinite(clear), VORT_CLEARANCE_FRACTION * clear, np.inf)
     h = np.minimum(VORT_STEP, cap)
-    u = sol.velocity(X, T)
     omega = functools.partial(vorticity_batch, sol)
     d1, d2, dt = (_fd1(_shifted(omega, X, T, axis, h), h) for axis in range(3))  # x1, x2, t
     return u[:, 0] * d1 + u[:, 1] * d2 + dt
@@ -415,7 +432,8 @@ def vorticity_transport_residual(sol: SolutionPair, point: SpaceTimePoint) -> fl
         raise FieldError("vorticity transport is defined for 2D solutions only")
     sol.check_admissible(point)
     X, T = point.arrays()
-    return float(_vorticity_transport_batch(sol, X, T)[0])
+    u, clear = sol.velocity(X, T), sol.singular.clearance(X, T)
+    return float(_vorticity_transport_batch(sol, X, T, u, clear)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +478,12 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
     _validate_region(sol, region)
     radius = region.exclusion_radius if region.exclusion_radius is not None else sol.exclusion_radius
     X, T = _sample_arrays(region, sol.singular, radius)
+    # every stage reads the same jet, velocity and clearance at the samples
+    jet, u, clear = sol.velocity_jet(X, T), sol.velocity(X, T), sol.singular.clearance(X, T)
 
-    res = np.linalg.norm(_residual_batch(sol, X, T), axis=1)
-    div = np.abs(_divergence_batch(sol, X, T))
-    fd = _fd_panel(sol, X, T)
+    res = np.linalg.norm(_residual_batch(sol, X, T, jet), axis=1)
+    div = np.abs(_divergence_batch(sol, X, T, jet))
+    fd = _fd_panel(sol, X, T, jet, u, _fd_steps(X, T, clear))
 
     n_pressure = 0
     if sol.pressure_value is not None:
@@ -482,7 +502,7 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
     vort = None
     max_vort = None
     if sol.dimension == 2:
-        vort = np.abs(_vorticity_transport_batch(sol, X, T))
+        vort = np.abs(_vorticity_transport_batch(sol, X, T, u, clear))
         max_vort = float(vort.max())
 
     metrics = {"residual": (res, tolerances.residual),

@@ -88,6 +88,15 @@ class TestAnnulusNorm:
         with pytest.raises(FieldError):
             NormSpec(q=2, delta=2.0, R=1.0, t=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_and_exponent_rejected(self, bad):
+        with pytest.raises(FieldError, match="time t must be finite"):
+            NormSpec(q=2, delta=1.0, R=2.0, t=bad)
+        with pytest.raises(FieldError, match="exponent q must be finite"):
+            NormSpec(q=bad, delta=1.0, R=2.0, t=0.0)
+        with pytest.raises(FieldError, match="time t must be finite"):
+            l2_energy_difference(preset("ex_3_2"), (1.0, 1.0), t=bad)
+
 
 
 def _without_radial_speed(sol, velocity=None):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from eulercert.catalog import (
     preset_ids,
     twin_wave,
 )
+from eulercert.expressions import Jet2, compile_real, eval_jet, parse
 from eulercert.fields import FieldError, InadmissiblePointError, SpaceTimePoint
 from eulercert.verification import (
     FD_STEP1,
@@ -352,6 +354,87 @@ class TestRadialQuadrature:
         grad = sol.pressure_gradient(X[sel], T[sel])
         assert len(sel) == PRESSURE_FD_SUBSET
         assert _rel_discrepancy(grad, grad_fd).max() <= 1e-10
+
+
+# Vortices whose pressure value is checked row by row: (c, h, params,
+# transforms).  The first three are built as their presets are; the last
+# evaluates a transcendental c(t) through array ufuncs.
+PRESSURE_VORTICES = {
+    "ex_2_5": ("t", "-1/r^2", {}, ()),
+    "ex_2_6": ("1/(T - t)", "-1/r^2", {"T": 1.0}, ()),
+    "ex_3_2": ("1", "-1/r^2 + 1/(1+r^2)^2", {}, (TransformSpec.boost((1.0, 1.0)),)),
+    "rotated_rescaled": ("1/(T - t)", "-1/r^2 + exp(-r^2)", {"T": 1.0},
+                         (TransformSpec.rotation(0.7), TransformSpec.rescale(1.5, 0.8))),
+    "transcendental_c": ("exp(-t) + sin(3*t) + sqrt(1 + t^2) + ln(2 + t)", "-1/r^2", {}, ()),
+}
+
+
+def _scalar_pressure(c, h, params, y1, y2, s):
+    """The vortex pressure value at one point, one row at a time: a scalar
+    jet of c, libm's hypot and atan2, and a one-row radial quadrature."""
+    cjet = eval_jet(parse(c, "t"), Jet2.variable(s), params)
+    cv, cdot = float(cjet.value), float(cjet.d1)
+    h_real = compile_real(parse(h, "r"), params)
+
+    def integrand(rho, rows):
+        g = cv / (rho * rho) + h_real(rho)
+        return rho * g * g
+
+    F, _ = catalog.quad(integrand, 1.0, np.array([math.hypot(y1, y2)]),
+                        epsrel=1e-11, epsabs=1e-13)
+    return -cdot * math.atan2(y1, y2) + F[0]
+
+
+def _recorded_vortex(name):
+    """The vortex ``name``, and the list of (points, times, values) that its
+    untransformed pressure value sees and returns."""
+    c, h, params, transforms = PRESSURE_VORTICES[name]
+    base = ij_vortex(c, h, params=params, blowup_time=params.get("T"))
+    calls = []
+
+    def recording(Y, S):
+        p = base.pressure_value(Y, S)
+        calls.append((Y.copy(), S.copy(), p))
+        return p
+
+    sol = replace(base, pressure_value=recording)
+    for tr in transforms:
+        sol = apply_transform(sol, tr)
+    return sol, calls
+
+
+class TestBatchedPressureValue:
+    @pytest.mark.parametrize("name", sorted(PRESSURE_VORTICES))
+    def test_matches_the_per_row_reference_bit_for_bit(self, name):
+        sol, calls = _recorded_vortex(name)
+        X, T = _sample_arrays(default_region(sol, count=500, seed=4), sol.singular,
+                              sol.exclusion_radius)
+        p = sol.pressure_value(X, T)
+        if name in preset_ids():
+            assert p.tobytes() == preset(name).pressure_value(X, T).tobytes()
+        (Y, S, base_p), = calls
+        c, h, params, _ = PRESSURE_VORTICES[name]
+        ref = [_scalar_pressure(c, h, params, float(y1), float(y2), float(s))
+               for (y1, y2), s in zip(Y, S)]
+        assert base_p.tobytes() == np.array(ref).tobytes()
+
+    def test_one_circulation_jet_per_call(self, monkeypatch):
+        counted = []
+
+        def counting(ast, seed, params=None):
+            counted.append(ast)
+            return eval_jet(ast, seed, params)
+
+        monkeypatch.setattr(catalog, "eval_jet", counting)
+        sol = preset("ex_2_6")
+        X, T = _sample_arrays(default_region(sol, count=500, seed=1), sol.singular,
+                              sol.exclusion_radius)
+        per_call = []
+        for n in (1, 10, 500):
+            counted.clear()
+            sol.pressure_value(X[:n], T[:n])
+            per_call.append(len(counted))
+        assert per_call[0] == per_call[1] == per_call[2]
 
 
 # 2 pi I_0(k) = integral over one period of exp(k cos theta); rows with a

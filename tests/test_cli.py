@@ -227,6 +227,13 @@ class TestGridDump:
         _, b, _ = run(capsys, "grid-dump", "ex_3_4_smooth", "--nx", "8", "--nt", "2")
         assert a == b
 
+    @pytest.mark.parametrize("flag, value", [("--nx", "-1"), ("--nt", "-2"), ("--nx", "0")])
+    def test_grid_size_below_one_is_input_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "grid-dump", "ex_3_2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSchemaRoundTrip:
     @pytest.mark.parametrize("pid", preset_ids())
@@ -290,6 +297,37 @@ class TestInputValidation:
         assert "params/C" in err
         with pytest.raises(SpecError):
             validate_spec(json.loads(p.read_text()))
+
+
+NON_FINITE_FLAGS = [
+    ("norm", "ex_3_2", "--subtract-boost", "--t", "nan"),
+    ("norm", "ex_3_4_smooth", "--delta", "1", "--R", "2", "--t", "inf"),
+    ("norm", "ex_2_5", "--delta", "1", "--R", "2", "--t", "nan"),
+    ("norm", "ex_2_5", "--q", "nan", "--delta", "1", "--R", "2"),
+    ("certify", "ex_2_5", "--samples", "100", "--tol-fd", "-1"),
+    ("certify", "ex_2_5", "--samples", "100", "--tol-residual", "nan"),
+]
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv", NON_FINITE_FLAGS, ids=lambda a: " ".join(a[2:]))
+    def test_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_prints_no_integration_warnings(self):
+        # Run in a fresh process: pytest would otherwise collect the warnings.
+        import eulercert
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "eulercert.cli", *NON_FINITE_FLAGS[2]],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 OVERFLOWING_VORTEX = {"format_version": 1, "family": "ij_vortex",

@@ -7,6 +7,7 @@ import pytest
 
 from eulercert.catalog import ij_vortex, linear3d, preset, preset_ids, twin_wave
 from eulercert.fields import (
+    FieldError,
     InadmissiblePointError,
     SingularSetDescriptor,
     MovingPoint,
@@ -216,6 +217,26 @@ class TestCertify:
         rep = certify(sol, default_region(sol, count=200, seed=0),
                       Tolerances(residual=1e-30, divergence=0.0, fd=1e-30, vorticity=1e-30))
         assert not rep.passed
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_tolerance_rejected(self, value):
+        for field in ("residual", "divergence", "fd", "vorticity"):
+            with pytest.raises(FieldError, match=f"{field} tolerance"):
+                Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("pid, jets", [("ex_3_4_smooth", 13), ("ex_5_1_const", 1)])
+    def test_one_base_point_jet_per_certify(self, pid, jets):
+        # one jet at the samples for the residual, the divergence and the FD
+        # panel; in 2D, twelve more at the vorticity stencil points
+        sol = preset(pid)
+        calls = []
+
+        def counting(X, T):
+            calls.append(len(X))
+            return sol.velocity_jet(X, T)
+
+        certify(replace(sol, velocity_jet=counting), default_region(sol, count=200, seed=0))
+        assert len(calls) == jets
 
 
 class TestOracleIndependence:
