@@ -23,6 +23,7 @@ yields a pair with viscosity sigma * lambda^2 / tau.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -75,7 +76,13 @@ def _require_params(ast: ExprAst, params: dict, what: str):
 # Vectorized radial and angular quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of 8-point Gauss-Legendre on [-1, 1].  Computed on
+    first use, so that importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(8)
+
+
 QUAD_MAX_PANELS = 1024
 ANGULAR_MAX_NODES = 2**10
 ANGULAR_MAX_LEVELS = 40
@@ -111,13 +118,14 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
     a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
     values, abserr = np.empty(len(a)), np.full(len(a), np.inf)
     rows, prev, m = np.arange(len(a)), None, 8
+    nodes, weights = _gauss_legendre()
     while len(rows):
         edges = a[rows, None] * (b[rows] / a[rows])[:, None] ** (np.arange(m + 1) / m)
         edges[:, -1] = b[rows]
         mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
-        x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(len(rows), -1)
+        x = (mid[:, :, None] + half[:, :, None] * nodes).reshape(len(rows), -1)
         f = np.broadcast_to(func(x, rows), x.shape).reshape(len(rows), m, 8)
-        est = ((f * _GL_WEIGHTS).sum(axis=2) * half).sum(axis=1)
+        est = ((f * weights).sum(axis=2) * half).sum(axis=1)
         done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev = rows[~done], est[~done]
         if len(rows) and m >= QUAD_MAX_PANELS:
@@ -179,12 +187,13 @@ def _bisect(func, rows, tol):
     values, abserr = np.zeros(len(rows)), np.zeros(len(rows))
     idx, w = np.repeat(np.arange(len(rows)), 16), 2.0 * np.pi / 16
     a = np.tile(np.arange(16) * w, len(rows))
+    nodes, weights = _gauss_legendre()
 
     def gl(a, w, idx):
         est = np.empty(len(a))
         for s in _slices(len(a), 8):
-            f = func(a[s, None] + w * (_GL_NODES + 1.0) / 2.0, rows[idx[s]])
-            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * _GL_WEIGHTS).sum(axis=1) * (w / 2)
+            f = func(a[s, None] + w * (nodes + 1.0) / 2.0, rows[idx[s]])
+            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * weights).sum(axis=1) * (w / 2)
         return est
 
     whole = gl(a, w, idx)

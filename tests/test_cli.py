@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from eulercert.cli import (
+    SPEC_SCHEMA,
     SpecError,
     build_solution,
     main,
@@ -200,6 +201,16 @@ class TestProbe:
         assert "v2" in err
 
 
+BAD_GRID_REGIONS = [
+    (("ex_2_6", "--until", "nan"), "time interval must be non-degenerate"),
+    (("ex_2_6", "--until", "1.5"), "blow-up time"),
+    (("ex_2_6", "--until", "1"), "blow-up time"),
+    (("ex_3_2", "--box", "0", "nan", "0", "1"), "box must be non-degenerate"),
+    (("ex_3_2", "--box", "1", "0", "0", "1"), "box must be non-degenerate"),
+    (("ex_3_2", "--box", "0", "inf", "0", "1"), "box must be finite"),
+]
+
+
 class TestGridDump:
     def test_row_count_and_header(self, capsys):
         code, out, _ = run(capsys, "grid-dump", "ex_3_2", "--box", "-3", "3",
@@ -234,6 +245,21 @@ class TestGridDump:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", BAD_GRID_REGIONS,
+                             ids=[" ".join(argv) for argv, _ in BAD_GRID_REGIONS])
+    def test_invalid_region_is_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "grid-dump", *argv, "--nx", "2", "--nt", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_dump_below_blowup_time_still_runs(self, capsys):
+        code, out, _ = run(capsys, "grid-dump", "ex_2_6", "--until", "0.99", "--nx", "2",
+                           "--nt", "2")
+        assert code == 0
+        assert out.strip().split("\n")[-1].split(",")[2] == "0.98999999999999999"
+
 
 class TestSchemaRoundTrip:
     @pytest.mark.parametrize("pid", preset_ids())
@@ -253,6 +279,35 @@ class TestSchemaRoundTrip:
     def test_validate_requires_preset_name(self):
         with pytest.raises(SpecError, match="preset"):
             validate_spec({"family": "preset"})
+
+    def test_spec_schema_is_valid_under_its_metaschema(self):
+        # validate_spec skips this per-call check, so it is made once here
+        import jsonschema
+
+        jsonschema.validators.validator_for(SPEC_SCHEMA).check_schema(SPEC_SCHEMA)
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "mystery"},
+        {"format_version": 1, "family": "ij_vortex", "params": {"c": "1"}, "unknown_key": True},
+        {"family": "linear3d", "params": {"f": "1", "C": [["a", 0, 0], [0, 1, 0], [0, 0, -1]]}},
+        {"family": "twin_wave", "params": {"v": "x", "c1": "one"},
+         "transforms": [{"kind": "boost", "velocity": [1]}]},
+        {"family": "ij_vortex", "params": {"c": "1", "h": "-1/r^2"},
+         "transforms": [{"kind": "rescale", "lam": 0}]},
+        {"family": "ij_vortex", "overrides": {"time": [0, 1, 2]}, "format_version": 2},
+        # several errors: the reported one is jsonschema's best match, not the first
+        {"family": "mystery", "bogus": 1},
+        {"family": "twin_wave", "params": {"v": 1, "c1": "x"}, "bogus": 1},
+    ])
+    def test_rejection_names_the_error_jsonschema_validate_raises(self, doc):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, SPEC_SCHEMA)
+        path = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
+        with pytest.raises(SpecError) as exc:
+            validate_spec(doc)
+        assert str(exc.value) == f"spec file invalid at {path}: {ref.value.message}"
 
 
 class TestDeterminism:
@@ -387,3 +442,52 @@ class TestImports:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # Start-up cost: jsonschema is loaded by spec files only, scipy by the
+    # norm and energy paths only, numpy.polynomial by quadrature only.
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["certify", "ex_3_10", "--samples", "200"],
+        ["grid-dump", "ex_3_2", "--nx", "4", "--nt", "2"],
+        ["blowup", "ex_2_6"],
+        ["probe", "--mode", "affine", "--v1", "x", "--v2", "x"],
+    ], ids=lambda a: a[0])
+    def test_command_loads_no_heavy_module(self, argv):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0
+        assert loaded["heavy"] == []
+
+    def test_spec_file_still_validates(self, tmp_path):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "ij_vortex",
+                                 "params": {"c": "1"}, "unknown_key": True}))
+        loaded = _modules_after(["certify", str(p)])
+        assert loaded["code"] == 2
+        assert loaded["stdout"] == ""
+        assert loaded["stderr"] == ("error: spec file invalid at <root>: Additional properties "
+                                    "are not allowed ('unknown_key' was unexpected)\n")
+        assert "jsonschema" in loaded["heavy"]
+
+
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+import eulercert.cli as cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+heavy = [m for m in ("jsonschema", "numpy.polynomial", "scipy") if m in sys.modules]
+print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                  "heavy": heavy}))
+"""
+
+
+def _modules_after(argv):
+    """Run ``cli.main(argv)`` in a fresh process; its exit code, its output,
+    and which of jsonschema, numpy.polynomial and scipy it loaded."""
+    import eulercert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

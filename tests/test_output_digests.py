@@ -5,7 +5,8 @@ Certify reports (count 2000, seed 0) of transformed vortices and of twin
 waves with c3 other than 1, and the stdout of the probe and grid-dump
 commands.  The digests were recorded before those three mechanisms were
 merged into one each, so a refactor that moves a single rounding step
-fails here.  A change that alters these outputs on purpose records new
+fails here.  The NA and 3D grid dumps were recorded before grid-dump
+formatted its finite rows with one format string per row.  A change that alters these outputs on purpose records new
 digests and says why.
 """
 
@@ -37,6 +38,10 @@ CLI = {
     "probe_twinwave": ["probe", "--mode", "twinwave", "--u1", "1/(1+x^2)", "--u2", "x^2",
                        "--c3", "0.5"],
     "grid_dump_ex_3_2": ["grid-dump", "ex_3_2", "--nx", "16", "--nt", "2"],
+    # NA cells inside the exclusion around the vortex core
+    "grid_dump_ex_2_6_na": ["grid-dump", "ex_2_6", "--box", "-1", "1", "-1", "1",
+                            "--nx", "9", "--nt", "2"],
+    "grid_dump_ex_6_1_3d": ["grid-dump", "ex_6_1", "--nx", "6", "--nt", "2"],
 }
 
 TRANSFORMED_SHA256 = {
@@ -59,6 +64,8 @@ CLI_SHA256 = {
     "probe_affine": "a5458ecdc2d87fd5cdf2df926d5587d58dcef348ae504971ae1730b49afa48b2",
     "probe_twinwave": "2ed091533fc1eb1c4393cb891e0e70b3a1389777017f2e32ee901654706028b1",
     "grid_dump_ex_3_2": "d893f57aad81b8fed4b233a0d95c29e91f3e59f4e26932345b5a3caa700fee84",
+    "grid_dump_ex_2_6_na": "f4dd0e688a8752d6eea701f2aaa4093f2de746f2fb522558b37bd3a1455e360f",
+    "grid_dump_ex_6_1_3d": "3bfc46cc4b6cb318b23d4dd52d7998f7186588d66d5d1384bafb91067c418116",
 }
 
 

@@ -27,6 +27,7 @@ from eulercert.verification import (
     sample_points,
     splitmix64_stream,
     vorticity_transport_residual,
+    _row_max,
     _sample_arrays,
     _splitmix64_block,
 )
@@ -335,6 +336,34 @@ class TestRegionValidation:
         region = SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
                               count=5, exclusion_radius=0.25)
         assert region.exclusion_radius == 0.25
+
+    @pytest.mark.parametrize("box, time, message", [
+        (((0.0, math.inf), (0.0, 1.0)), (0.0, 1.0), "box must be finite"),
+        (((-math.inf, 0.0), (0.0, 1.0)), (0.0, 1.0), "box must be finite"),
+        (((0.0, 1.0), (0.0, 1.0)), (0.0, math.inf), "time interval must be finite"),
+        (((0.0, 1.0), (0.0, 1.0)), (-math.inf, 1.0), "time interval must be finite"),
+    ])
+    def test_non_finite_box_or_time_rejected(self, box, time, message):
+        with pytest.raises(RegionError, match=message):
+            SampleRegion(box=box, time=time, count=5)
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 9])
+    def test_equals_numpy_max_with_nan_and_inf(self, cols):
+        a = np.random.default_rng(cols).standard_normal((500, cols))
+        a[3, cols - 1] = np.nan
+        a[7, 0] = np.nan
+        a[11, cols // 2] = np.inf
+        a[13, :] = -np.inf
+        got = _row_max(a)
+        assert np.array_equal(got, a.max(axis=1), equal_nan=True)
+        assert np.isnan(got[[3, 7]]).all()
+
+    def test_leaves_its_input_unchanged(self):
+        a = np.arange(12.0).reshape(4, 3)  # the maxima are not in column 0
+        _row_max(a)
+        assert np.array_equal(a, np.arange(12.0).reshape(4, 3))
 
 
 class TestNonFiniteMetrics:
