@@ -85,8 +85,8 @@ def _gauss_legendre():
 
 QUAD_MAX_PANELS = 1024
 ANGULAR_MAX_NODES = 2**10
-ANGULAR_MAX_LEVELS = 40
-ANGULAR_MAX_OPEN = 512
+BISECT_MAX_LEVELS = 40
+BISECT_MAX_OPEN = 512
 ANGULAR_CHUNK = 2**16
 
 
@@ -111,9 +111,12 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
     8-point Gauss-Legendre on m panels graded geometrically from a to b
     (both > 0), starting at m = 8 and doubling, in one ``func`` call per
     round over the rows still open, until |I_2m - I_m| <= max(epsabs,
-    epsrel |I_2m|) or the estimate is not finite.  A row's value does not
-    depend on the other rows.  Returns ``(values, abserr)``; raises
-    FieldError when a row needs more than QUAD_MAX_PANELS panels.
+    epsrel |I_2m|) or the estimate is not finite.  A row still open after
+    QUAD_MAX_PANELS panels (a kink or an interior singularity) goes on with
+    ``_bisect`` on [a, b], with that tolerance at its last estimate; it
+    raises FieldError when the bisection cannot close the row either.  A
+    row's value does not depend on the other rows.  Returns ``(values,
+    abserr)``.
     """
     a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
     values, abserr = np.empty(len(a)), np.full(len(a), np.inf)
@@ -129,7 +132,10 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
         done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev = rows[~done], est[~done]
         if len(rows) and m >= QUAD_MAX_PANELS:
-            raise FieldError(f"radial quadrature did not converge with {m} panels")
+            tol = np.maximum(epsabs, epsrel * np.abs(prev))
+            values[rows], abserr[rows] = _bisect(func, rows, a[rows], b[rows], tol,
+                                                 "radial quadrature")
+            break
         m *= 2
     return values, abserr
 
@@ -169,51 +175,59 @@ def angular_quad(func, count: int, *, epsrel: float, epsabs: float):
         n *= 2
     if len(rows):
         tol = np.maximum(epsabs, epsrel * np.abs(prev))
-        values[rows], abserr[rows] = _bisect(func, rows, tol)
+        values[rows], abserr[rows] = _bisect(func, rows, np.zeros(len(rows)),
+                                             np.full(len(rows), 2.0 * np.pi), tol,
+                                             "angular quadrature")
     return values, abserr
 
 
-def _bisect(func, rows, tol):
-    """Adaptive 8-point Gauss-Legendre on [0, 2 pi) for the rows ``rows``.
+def _bisect(func, rows, lo, hi, tol, what: str):
+    """Adaptive 8-point Gauss-Legendre on [lo[i], hi[i]] for the rows ``rows``.
 
+    The one fallback of both quadratures: ``quad`` passes its graded rows'
+    intervals, ``angular_quad`` the ring [0, 2 pi).  ``func(x, rows)``
+    is called with one line of nodes per panel and that panel's row.
     Every row starts from 16 equal panels.  A round halves all open panels
-    at once and accepts a pair of halves whose sum is within
-    tol * width / 2 pi of the parent panel's estimate (or is not finite), so
-    the errors of a row add up to at most its ``tol``.  A kink needs about
-    25 rounds and keeps a few panels open; a row with more than
-    ANGULAR_MAX_OPEN open panels, or open after ANGULAR_MAX_LEVELS rounds (a
-    singularity whose values swamp the tolerance), raises FieldError.
+    at once and accepts a pair of halves whose sum is within the parent
+    panel's share of ``tol`` (tol * width / (hi - lo)) of the parent's
+    estimate, or is not finite, so the errors of a row add up to at most its
+    ``tol``.  A kink needs 10-30 rounds and keeps a few panels open; a row
+    with more than BISECT_MAX_OPEN open panels, or open after
+    BISECT_MAX_LEVELS rounds (a singularity whose values swamp the
+    tolerance), raises FieldError ("<what> did not converge").  A row's
+    value does not depend on the other rows.
     """
     values, abserr = np.zeros(len(rows)), np.zeros(len(rows))
-    idx, w = np.repeat(np.arange(len(rows)), 16), 2.0 * np.pi / 16
-    a = np.tile(np.arange(16) * w, len(rows))
+    idx, w, span = np.repeat(np.arange(len(rows)), 16), (hi - lo) / 16, (hi - lo) / 2
+    a = (lo[:, None] + np.arange(16) * w[:, None]).ravel()
     nodes, weights = _gauss_legendre()
 
-    def gl(a, w, idx):
-        est = np.empty(len(a))
+    def gl(a, idx):
+        est, wp = np.empty(len(a)), w[idx]
         for s in _slices(len(a), 8):
-            f = func(a[s, None] + w * (nodes + 1.0) / 2.0, rows[idx[s]])
-            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * weights).sum(axis=1) * (w / 2)
+            f = func(a[s, None] + wp[s, None] * (nodes + 1.0) / 2.0, rows[idx[s]])
+            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * weights).sum(axis=1) * (wp[s] / 2)
         return est
 
-    whole = gl(a, w, idx)
-    for _ in range(ANGULAR_MAX_LEVELS):
-        w /= 2.0
-        left, right = gl(a, w, idx), gl(a + w, w, idx)
+    whole = gl(a, idx)
+    for _ in range(BISECT_MAX_LEVELS):
+        w = w / 2.0
+        left, right = gl(a, idx), gl(a + w[idx], idx)
         est = left + right
         err = np.abs(est - whole)
-        done = ~np.isfinite(est) | (err <= tol[idx] * w / np.pi)
+        done = ~np.isfinite(est) | (err <= tol[idx] * w[idx] / span[idx])
         np.add.at(values, idx[done], est[done])
         np.add.at(abserr, idx[done], err[done])
         keep = ~done
         if not keep.any():
             return values, abserr
-        if np.bincount(idx[keep]).max() > ANGULAR_MAX_OPEN:
+        if np.bincount(idx[keep]).max() > BISECT_MAX_OPEN:
             break
-        idx, a = np.concatenate([idx[keep], idx[keep]]), np.concatenate([a[keep], a[keep] + w])
+        a = np.concatenate([a[keep], a[keep] + w[idx[keep]]])
+        idx = np.concatenate([idx[keep], idx[keep]])
         whole = np.concatenate([left[keep], right[keep]])
-    raise FieldError(f"angular quadrature did not converge: panels of width {w:.1e} "
-                     "are still open")
+    width = np.abs(w[idx[keep]]).max()
+    raise FieldError(f"{what} did not converge: panels of width {width:.1e} are still open")
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +304,10 @@ def ij_vortex(
         )
 
     def _speed_profile(r, t):
-        """|u| as a function of radius at fixed time: |g(r,t)| * r."""
+        """|u| as a function of radius and time: |g(r,t)| * r, with ``t`` a
+        number or an array that broadcasts against ``r``."""
         r = np.asarray(r, dtype=float)
-        gval = c_real(float(t)) / (r * r) + h_real(r)
+        gval = c_real(np.asarray(t, dtype=float)) / (r * r) + h_real(r)
         return np.abs(gval) * r
 
     def pressure_val(X, T):
@@ -760,7 +775,8 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
             md["default_time"] = (tau * t0, tau * t1)
         if "radial_speed" in md:
             base_speed = md["radial_speed"]
-            md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam, t / tau)
+            md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam,
+                                                               np.asarray(t) / tau)
     return replace(
         sol,
         velocity=velocity,

@@ -460,6 +460,7 @@ def cmd_grid_dump(args) -> int:
     axes = [np.linspace(lo, hi, args.nx) for lo, hi in box]
     ts = np.linspace(0.0, tmax, args.nt)
 
+    eval_errors = (FieldError, ExpressionError, FloatingPointError, ZeroDivisionError)
     header_coords = ["x1", "x2", "x3"][:dim]
     lines = ["# format_version=1",
              ",".join(header_coords + ["t"] + [f"u{i+1}" for i in range(dim)]
@@ -480,15 +481,22 @@ def cmd_grid_dump(args) -> int:
             jet = sol.velocity_jet(Xa, Ta)
             res[ok] = np.linalg.norm(_residual_batch(sol, Xa, Ta, jet), axis=1)
             div[ok] = _divergence_batch(sol, Xa, Ta, jet)
-        bad = ~ok
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                try:
-                    val = sol.velocity(Xflat[i:i + 1], Tflat[i:i + 1])[0]
-                    if np.all(np.isfinite(val)):
-                        u[i] = val
-                except (FieldError, ExpressionError, FloatingPointError, ZeroDivisionError):
-                    pass
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            # one call over the inadmissible points; point by point only when
+            # it raises.  A point keeps its velocity only if all of it is finite.
+            try:
+                vals = sol.velocity(Xflat[bad], Tflat[bad])
+                whole = np.isfinite(vals).all(axis=1)
+                u[bad[whole]] = vals[whole]
+            except eval_errors:
+                for i in bad:
+                    try:
+                        val = sol.velocity(Xflat[i:i + 1], Tflat[i:i + 1])[0]
+                        if np.all(np.isfinite(val)):
+                            u[i] = val
+                    except eval_errors:
+                        pass
         table = np.column_stack([Xflat, Tflat, u, res, div])
         finite = np.isfinite(table).all(axis=1).tolist()
         # "%.17g" % x and format(x, ".17g") print the same digits

@@ -1,21 +1,24 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from eulercert import catalog
 from eulercert.analysis import (
     DEFAULT_PROBE_REGION,
     NormSpec,
     RateFit,
     _affine_solution,
+    _radial_norms,
     affine_probe,
     annulus_lq_norm,
     blowup_exponent_fit,
     l2_energy_difference,
     twin_wave_form_check,
 )
-from eulercert.catalog import preset, twin_wave
+from eulercert.catalog import TransformSpec, apply_transform, ij_vortex, preset, twin_wave
 from eulercert.expressions import parse
 from eulercert.fields import FieldError
 from eulercert.verification import SampleRegion, _fd_panel, _sample_arrays
@@ -300,3 +303,107 @@ class TestTwinWaveFormCheck:
         # a bad parameter value is a caller error and must surface as itself.
         with pytest.raises(TypeError):
             twin_wave_form_check("a*x", "a*x", 0.0, 1.0, 1.0, params={"a": None})
+
+
+# Radially structured solutions for the radial path, each with the subtract
+# that selects it: presets, the boosted ex_3_2 in its co-moving frame, and a
+# rescaled vortex (whose radial speed goes through the rescale wrapper).
+def _rescaled_vortex():
+    return apply_transform(preset("ex_2_6"), TransformSpec.rescale(1.5, 0.8))
+
+
+RADIAL_CASES = {
+    "ex_2_5": (lambda: preset("ex_2_5"), None),
+    "ex_2_6": (lambda: preset("ex_2_6"), None),
+    "ex_3_2-boost": (lambda: preset("ex_3_2"), (1.0, 1.0)),
+    "rescaled-ex_2_6": (_rescaled_vortex, None),
+}
+
+
+def _scipy_radial_reference(sol, subtract, q, delta, R, t):
+    """2 pi r |u - subtract|^q integrated by scipy's adaptive quadrature, with
+    the speed taken from the velocity on the ray from the moving centre."""
+    from scipy.integrate import quad as scipy_quad
+
+    C = np.zeros(2) if subtract is None else np.asarray(subtract)
+
+    def integrand(r):
+        X = np.array([[C[0] * t + r, C[1] * t]])
+        u = sol.velocity(X, np.array([t]))[0] - C
+        return 2.0 * math.pi * r * math.hypot(u[0], u[1]) ** q
+
+    return scipy_quad(integrand, delta, R, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+
+
+@pytest.fixture
+def bisected(monkeypatch):
+    """The number of rows of each call to ``catalog._bisect``."""
+    calls = []
+    bisect = catalog._bisect
+
+    def counted(func, rows, *args):
+        calls.append(len(rows))
+        return bisect(func, rows, *args)
+
+    monkeypatch.setattr(catalog, "_bisect", counted)
+    return calls
+
+
+class TestRadialPath:
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 0.35, 0.7])
+    def test_matches_scipy_reference(self, case, q, t):
+        build, subtract = RADIAL_CASES[case]
+        sol = build()
+        res = annulus_lq_norm(sol, NormSpec(q=q, delta=0.5, R=3.0, t=t, subtract=subtract))
+        assert res.provenance.startswith("radial quadrature")
+        want = _scipy_radial_reference(sol, subtract, q, 0.5, 3.0, t)
+        assert abs(res.value_pow_q - want) <= 1e-12 * abs(want), (res.value_pow_q, want)
+
+    @pytest.mark.parametrize("K", [48, 20])
+    def test_lq_fit_rows_equal_single_time_norms(self, K):
+        sol = preset("ex_2_6")
+        fit = blowup_exponent_fit(sol, RateFit(kind="lq", K=K))
+        assert len(fit.samples) == K
+        for t, nrm in fit.samples:
+            one = annulus_lq_norm(sol, NormSpec(q=2.0, delta=1.0, R=2.0, t=t)).value
+            assert one.hex() == nrm.hex(), t
+
+    def test_lq_fit_is_one_batched_quadrature(self, monkeypatch):
+        calls = []
+        quad = catalog.quad
+
+        def counted(func, a, b, **kw):
+            calls.append(len(np.ravel(a)))
+            return quad(func, a, b, **kw)
+
+        monkeypatch.setattr(catalog, "quad", counted)
+        blowup_exponent_fit(preset("ex_2_6"), RateFit(kind="lq", K=48))
+        assert calls == [48]
+
+    def test_kink_is_resolved_by_bisection(self, bisected):
+        # g = -0.5/r^2 + 1/(1+r^2) changes sign at r = 1, so |u| = |g| r has a
+        # kink there; at q = 1 the graded rule alone does not settle within
+        # QUAD_MAX_PANELS panels.
+        sol = ij_vortex("1", "-1.5/r^2 + 1/(1+r^2)")
+        res = annulus_lq_norm(sol, NormSpec(q=1.0, delta=0.3, R=5.0, t=0.3))
+        assert bisected == [1]
+        with mpmath.workdps(40):
+            want = float(mpmath.quad(
+                lambda r: 2 * mpmath.pi * r * r * abs(-0.5 / r**2 + 1 / (1 + r**2)),
+                [mpmath.mpf("0.3"), 1, 5]))
+        assert abs(res.value_pow_q - want) <= 1e-10 * want, (res.value_pow_q, want)
+
+    def test_bisected_row_value_independent_of_the_batch(self, bisected):
+        # g = (t - 1.5)/r^2 + 1/(1+r^2) vanishes at r^2 = (1.5 - t)/(t - 0.5):
+        # inside (0.3, 5) for t = 0.8, 1.0, 1.1, nowhere for t = 0.3 and 2.
+        sol = ij_vortex("t", "-1.5/r^2 + 1/(1+r^2)")
+        spec = NormSpec(q=1.0, delta=0.3, R=5.0, t=0.0)
+        times = [0.3, 0.8, 1.0, 1.1, 2.0]
+        batch = _radial_norms(sol, sol.metadata["radial_speed"], spec, times)
+        assert bisected == [3]
+        for t, res in zip(times, batch):
+            one = annulus_lq_norm(sol, dataclasses.replace(spec, t=t))
+            assert one.value_pow_q.hex() == res.value_pow_q.hex(), t
+            assert one == res

@@ -536,3 +536,38 @@ class TestAngularQuadrature:
         F_sliced, err_sliced = catalog.angular_quad(f, 64, **ANGULAR_TOL)
         assert max(r * c for r, c in sizes) <= 1024
         assert F_sliced.tobytes() == F.tobytes() and err_sliced.tobytes() == err.tobytes()
+
+
+class TestRadialBisection:
+    """Rows the graded rule of ``catalog.quad`` cannot close go on with the
+    bisection that ``angular_quad`` uses, on the row's own interval."""
+
+    def test_kink_is_resolved_by_bisection(self):
+        # integral of |x - k| over [a, b] = ((k - a)^2 + (b - k)^2) / 2
+        k, a, b = np.array([1.3, 2.2]), np.array([1.0, 3.0]), np.array([2.0, 1.5])
+        F, err = catalog.quad(lambda x, rows: np.abs(x - k[rows, None]), a, b, **QUAD_TOL)
+        want = np.sign(b - a) * ((k - a) ** 2 + (b - k) ** 2) / 2
+        for got, w, e in zip(F, want, err):
+            assert abs(got - w) <= 1e-11 * abs(w), (got, w)
+            assert e <= 1e-11 * abs(w)
+
+    def test_bisected_row_value_independent_of_the_batch(self):
+        # Kinked rows (bisected) and smooth rows (graded) in one call.
+        k = np.linspace(1.05, 2.95, 40)
+        smooth = np.arange(40) % 3 == 0
+
+        def rows_of(rows):
+            def f(x, sub):
+                kink = np.abs(x - k[rows][sub, None])
+                return np.where(smooth[rows][sub, None], np.exp(-x), kink)
+            return f
+
+        full, full_err = catalog.quad(rows_of(np.arange(40)), 1.0, np.full(40, 3.0), **QUAD_TOL)
+        for i in (0, 1, 20, 39):
+            one, one_err = catalog.quad(rows_of(np.array([i])), 1.0, [3.0], **QUAD_TOL)
+            assert one.tobytes() == full[i:i + 1].tobytes()
+            assert one_err.tobytes() == full_err[i:i + 1].tobytes()
+
+    def test_unresolvable_row_names_the_radial_quadrature(self):
+        with pytest.raises(FieldError, match="radial quadrature did not converge"):
+            catalog.quad(lambda x, rows: np.abs(x - 1.5) ** -0.5, 1.0, [2.0], **QUAD_TOL)

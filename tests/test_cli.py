@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -261,6 +262,44 @@ class TestGridDump:
         assert out.strip().split("\n")[-1].split(",")[2] == "0.98999999999999999"
 
 
+class TestGridDumpInadmissiblePoints:
+    def _count_velocity_calls(self, monkeypatch, capsys, *argv):
+        import eulercert.cli as cli
+
+        calls = []
+        resolve = cli._resolve
+
+        def counted(spec):
+            sol = resolve(spec)
+            velocity = sol.velocity
+
+            def traced(X, T):
+                calls.append(len(X))
+                return velocity(X, T)
+
+            return dataclasses.replace(sol, velocity=traced)
+
+        monkeypatch.setattr(cli, "_resolve", counted)
+        code, out, _ = run(capsys, "grid-dump", *argv)
+        assert code == 0
+        return calls, out
+
+    def test_one_velocity_call_over_the_inadmissible_points(self, monkeypatch, capsys):
+        # ex_6_1 excludes the half-space s > 0: half of every time slice
+        calls, out = self._count_velocity_calls(monkeypatch, capsys, "ex_6_1", "--nx", "6",
+                                                "--nt", "2")
+        assert len(calls) == 4 and sum(calls) == 2 * 6**3
+        assert ",NA," in out
+
+    def test_points_where_the_batch_raises_go_one_by_one(self, monkeypatch, capsys):
+        # the vortex raises at r = 0, a grid point, so that slice falls back
+        calls, out = self._count_velocity_calls(monkeypatch, capsys, "ex_2_6", "--box", "-1",
+                                                "1", "-1", "1", "--nx", "9", "--nt", "2")
+        bad = [n for n in calls if n == 1]
+        assert len(bad) > 1
+        assert out.count("\n") == 2 + 81 * 2
+
+
 class TestSchemaRoundTrip:
     @pytest.mark.parametrize("pid", preset_ids())
     def test_preset_exports_and_reimports_identically(self, pid):
@@ -456,6 +495,18 @@ class TestImports:
         loaded = _modules_after(argv)
         assert loaded["code"] == 0
         assert loaded["heavy"] == []
+
+    # The radial annulus norm and the lq blow-up fit run on catalog.quad;
+    # only the planar energy still loads scipy.
+    @pytest.mark.parametrize("argv", [
+        ["blowup", "ex_2_6", "--norm", "lq"],
+        ["norm", "ex_2_5", "--delta", "1", "--R", "2"],
+    ], ids=lambda a: " ".join(a[:3]))
+    def test_radial_norms_load_no_scipy(self, argv):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0
+        assert json.loads(loaded["stdout"])["format_version"] == 1
+        assert "scipy" not in loaded["heavy"] and "jsonschema" not in loaded["heavy"]
 
     def test_spec_file_still_validates(self, tmp_path):
         p = tmp_path / "malformed.json"
