@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .expressions import ExprAst, Jet2, compile_real, eval_jet, parse
+from .expressions import ExprAst, Jet2, Num, compile_real, eval_jet, parse
 from .fields import (
     BlowupTime,
     FieldError,
@@ -54,16 +54,34 @@ __all__ = [
     "apply_transform",
     "preset",
     "preset_ids",
+    "FAMILIES",
     "PRESET_SUMMARIES",
 ]
 
-ExprLike = Union[str, ExprAst]
+ExprLike = Union[str, float, ExprAst]
+
+# The family constructors, by name.  Callers look a constructor up on this
+# module, so that a wrapper set on the module's attribute sees the call.
+FAMILIES = ("ij_vortex", "twin_wave", "linear3d", "ns_halfspace_blowup")
 
 
 def _as_ast(expr: ExprLike, variable: str) -> ExprAst:
     if isinstance(expr, str):
         return parse(expr, variable)
+    if isinstance(expr, (int, float)):
+        return Num(float(expr))
     return expr
+
+
+def _spec_text(expr: ExprLike):
+    return expr if isinstance(expr, (str, int, float)) else "<ast>"
+
+
+def _recorded(**params) -> dict:
+    """The spec ``params`` a constructor was built from, under their spec
+    names, without the empty ones (no values, blow-up time or offsets)."""
+    return {k: v for k, v in params.items()
+            if not (v is None or isinstance(v, (dict, list)) and not v)}
 
 
 def _require_params(ast: ExprAst, params: dict, what: str):
@@ -343,9 +361,8 @@ def ij_vortex(
     metadata = {
         "name": name,
         "family": "ij_vortex",
-        "params": {"c": str(c) if isinstance(c, str) else "<ast>",
-                   "h": str(h) if isinstance(h, str) else "<ast>",
-                   "values": dict(params)},
+        "params": _recorded(c=_spec_text(c), h=_spec_text(h), values=dict(params),
+                            exclusion_radius=exclusion_radius, blowup_time=blowup_time),
         "ij_index": (1, 2),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
         "default_time": (0.0, tmax),
@@ -374,9 +391,9 @@ def ij_vortex(
 
 def twin_wave(
     v: ExprLike,
-    c1: float,
-    c2: float,
-    c3: float,
+    c1: float = 0.0,
+    c2: float = 0.0,
+    c3: float = 1.0,
     params: Optional[dict] = None,
     singular_offsets: Sequence[float] = (),
     exclusion_radius: float = 1e-3,
@@ -421,8 +438,9 @@ def twin_wave(
     metadata = {
         "name": name,
         "family": "twin_wave",
-        "params": {"v": str(v) if isinstance(v, str) else "<ast>",
-                   "c1": c1, "c2": c2, "c3": c3, "values": dict(params)},
+        "params": _recorded(v=_spec_text(v), c1=c1, c2=c2, c3=c3, values=dict(params),
+                            exclusion_radius=exclusion_radius,
+                            singular_xi=list(singular_offsets)),
         "ij_index": (1, 3),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
         "default_time": (0.0, 1.0),
@@ -520,8 +538,8 @@ def linear3d(
     metadata = {
         "name": name,
         "family": "linear3d",
-        "params": {"f": str(f) if isinstance(f, str) else "<ast>",
-                   "C": C.tolist(), "sigma": sigma, "values": dict(params)},
+        "params": _recorded(f=_spec_text(f), C=C.tolist(), sigma=sigma, values=dict(params),
+                            blowup_time=blowup_time),
         "ij_index": (1, 1),
         "default_box": ((-3.0, 3.0),) * 3,
         "default_time": (0.0, tmax),
@@ -546,11 +564,12 @@ def linear3d(
 
 
 def ns_halfspace_blowup(
-    T: float,
-    sigma: float,
+    T: float = 1.0,
+    sigma: float = 1.0,
     c: float = 0.0,
     x0: Sequence[float] = (0.0, 0.0, 0.0),
     pressure_sign: int = 1,
+    exclusion_radius: float = 0.01,
     name: str = "ns_halfspace_blowup",
 ) -> SolutionPair:
     """Viscous half-space solution blowing up at finite time T.
@@ -566,7 +585,8 @@ def ns_halfspace_blowup(
     exactly divergence free; all derivatives reduce to d/ds and d/dt of the
     scalar profiles.  Both pressure signs are constructible so that the
     residual engine can discriminate which one actually closes the
-    momentum equation (the certified sign is +1).
+    momentum equation (the certified sign is +1).  Admissible points keep
+    at least ``exclusion_radius`` from the blow-up time and the boundary.
     """
     if T <= 0:
         raise FieldError("blow-up time T must be positive")
@@ -578,6 +598,7 @@ def ns_halfspace_blowup(
     if len(x0) != 3:
         raise FieldError("x0 must be a 3-vector")
     sign = float(pressure_sign)
+    exclusion_radius = float(exclusion_radius)
 
     def _parts(X, T_):
         tau = T - T_
@@ -637,7 +658,7 @@ def ns_halfspace_blowup(
         "name": name,
         "family": "ns_halfspace_blowup",
         "params": {"T": T, "sigma": sigma, "c": c, "x0": list(x0),
-                   "pressure_sign": pressure_sign},
+                   "pressure_sign": int(pressure_sign), "exclusion_radius": exclusion_radius},
         "default_box": ((-1.0, 1.0),) * 3,
         "default_time": (0.0, 0.9 * T),
         "boundary_speed": _boundary_speed,
@@ -651,7 +672,7 @@ def ns_halfspace_blowup(
         pressure_gradient=pressure_gradient,
         pressure_value=pressure_val,
         singular=singular,
-        exclusion_radius=0.01,
+        exclusion_radius=exclusion_radius,
         metadata=metadata,
     )
 
@@ -689,12 +710,15 @@ class TransformSpec:
     @staticmethod
     def from_dict(d: dict) -> "TransformSpec":
         kind = d.get("kind")
-        if kind == "boost":
-            return TransformSpec.boost(d["velocity"])
-        if kind == "rotation":
-            return TransformSpec.rotation(d["angle"])
-        if kind == "rescale":
-            return TransformSpec.rescale(d["lam"], d["tau"])
+        try:
+            if kind == "boost":
+                return TransformSpec.boost(d["velocity"])
+            if kind == "rotation":
+                return TransformSpec.rotation(d["angle"])
+            if kind == "rescale":
+                return TransformSpec.rescale(d["lam"], d["tau"])
+        except KeyError as e:
+            raise FieldError(f"{kind} transform is missing {e.args[0]!r}") from None
         raise FieldError(f"unknown transform kind {kind!r}")
 
 
@@ -828,140 +852,111 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
 # double precision (derivative magnitudes grow like inverse powers of the
 # distance to the singular set, and the FD cross-checks amplify rounding
 # noise by 1/step).  See the README for the calibration notes.
+#
+# A builder takes the overrides and returns the solution and the metadata
+# the preset adds to it; ``preset`` sets the name and summary.
 # ---------------------------------------------------------------------------
 
 
-def _decay(md, kappa, power, exact):
-    md["decay_envelope"] = {"kappa": kappa, "power": power, "exact": exact}
-    return md
+def _decay(kappa, power, exact):
+    return {"decay_envelope": {"kappa": kappa, "power": power, "exact": exact}}
+
+
+def _wave_speeds(ov):
+    return (float(ov.get(k, d)) for k, d in (("c1", 1.0), ("c2", 0.0), ("c3", 1.0)))
 
 
 def _preset_ex_2_5(ov):
-    sol = ij_vortex("t", "-1/r^2", exclusion_radius=ov.get("exclusion_radius", 0.3),
-                    name="ex_2_5")
-    md = dict(sol.metadata)
-    _decay(md, lambda t: abs(t - 1.0), 1, True)
-    md["summary"] = "vortex with circulation growing linearly in time; finite energy only at t = 1"
-    return replace(sol, metadata=md)
+    sol = ij_vortex("t", "-1/r^2", exclusion_radius=ov.get("exclusion_radius", 0.3))
+    return sol, _decay(lambda t: abs(t - 1.0), 1, True)
 
 
 def _preset_ex_2_6(ov):
     T = float(ov.get("T", 1.0))
     sol = ij_vortex("1/(T - t)", "-1/r^2", params={"T": T}, blowup_time=T,
-                    exclusion_radius=ov.get("exclusion_radius", 0.7), name="ex_2_6")
-    md = dict(sol.metadata)
-    _decay(md, lambda t: abs(1.0 / (T - t) - 1.0), 1, True)
-    md["summary"] = "vortex blowing up at t = T, singular at the origin"
-    return replace(sol, metadata=md)
+                    exclusion_radius=ov.get("exclusion_radius", 0.7))
+    return sol, _decay(lambda t: abs(1.0 / (T - t) - 1.0), 1, True)
 
 
 def _preset_ex_3_2(ov):
-    C = tuple(ov.get("C", (1.0, 1.0)))
     base = ij_vortex("1", "-1/r^2 + 1/(1+r^2)^2",
-                     exclusion_radius=ov.get("exclusion_radius", 0.12), name="ex_3_2")
-    sol = apply_transform(base, TransformSpec.boost(C))
-    md = dict(sol.metadata)
-    md["name"] = "ex_3_2"
-    _decay(md, 1.0, 3, False)
-    md["summary"] = "globally smooth traveling vortex; u - C has finite planar energy"
-    return replace(sol, metadata=md)
+                     exclusion_radius=ov.get("exclusion_radius", 0.12))
+    sol = apply_transform(base, TransformSpec.boost(tuple(ov.get("C", (1.0, 1.0)))))
+    return sol, _decay(1.0, 3, False)
 
 
 def _preset_ex_3_10(ov):
     T = float(ov.get("T", 1.0))
-    c1, c2, c3 = (float(ov.get(k, d)) for k, d in (("c1", 1.0), ("c2", 0.0), ("c3", 1.0)))
-    offset = -T * (c1 - c2)
+    c1, c2, c3 = _wave_speeds(ov)
     sol = twin_wave("1/(x + T*(c1 - c2))^2", c1, c2, c3,
                     params={"T": T, "c1": c1, "c2": c2},
-                    singular_offsets=(offset,),
-                    exclusion_radius=ov.get("exclusion_radius", 0.45), name="ex_3_10")
-    md = dict(sol.metadata)
-    md["form_symmetry_time"] = T
-    md["summary"] = "traveling wave whose components match in form exactly at t = T"
-    return replace(sol, metadata=md)
+                    singular_offsets=(-T * (c1 - c2),),
+                    exclusion_radius=ov.get("exclusion_radius", 0.45))
+    return sol, {"form_symmetry_time": T}
 
 
 def _preset_ex_3_4_smooth(ov):
-    c1, c2, c3 = (float(ov.get(k, d)) for k, d in (("c1", 1.0), ("c2", 0.0), ("c3", 1.0)))
-    sol = twin_wave("1/(1+x^2)^2 - c1", c1, c2, c3, params={"c1": c1},
-                    exclusion_radius=ov.get("exclusion_radius", 1e-3),
-                    name="ex_3_4_smooth")
-    md = dict(sol.metadata)
-    md["summary"] = "globally smooth traveling wave with a single bump profile"
-    return replace(sol, metadata=md)
+    c1, c2, c3 = _wave_speeds(ov)
+    return twin_wave("1/(1+x^2)^2 - c1", c1, c2, c3, params={"c1": c1},
+                     exclusion_radius=ov.get("exclusion_radius", 1e-3)), {}
 
 
 def _preset_ex_3_4_singular(ov):
-    c1, c2, c3 = (float(ov.get(k, d)) for k, d in (("c1", 1.0), ("c2", 0.0), ("c3", 1.0)))
-    sol = twin_wave("1/x^2", c1, c2, c3, singular_offsets=(0.0,),
-                    exclusion_radius=ov.get("exclusion_radius", 0.45),
-                    name="ex_3_4_singular")
-    md = dict(sol.metadata)
-    md["summary"] = "traveling wave singular on a moving line"
-    return replace(sol, metadata=md)
+    c1, c2, c3 = _wave_speeds(ov)
+    return twin_wave("1/x^2", c1, c2, c3, singular_offsets=(0.0,),
+                     exclusion_radius=ov.get("exclusion_radius", 0.45)), {}
 
 
 _C_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -2.0))
 
 
 def _preset_ex_5_1_const(ov):
-    sigma = float(ov.get("sigma", 0.0))
-    sol = linear3d("1", np.asarray(ov.get("C", _C_DEFAULT)), sigma=sigma,
-                   name="ex_5_1_const")
-    md = dict(sol.metadata)
-    md["summary"] = "steady linear strain field, valid for any viscosity"
-    return replace(sol, metadata=md)
+    return linear3d("1", np.asarray(ov.get("C", _C_DEFAULT)),
+                    sigma=float(ov.get("sigma", 0.0))), {}
 
 
 def _preset_ex_5_1_blowup(ov):
     T = float(ov.get("T", 1.0))
-    sigma = float(ov.get("sigma", 0.0))
-    sol = linear3d("1/(T - t)", np.asarray(ov.get("C", _C_DEFAULT)), sigma=sigma,
-                   params={"T": T}, blowup_time=T, name="ex_5_1_blowup")
-    md = dict(sol.metadata)
-    md["summary"] = "linear strain field with amplitude blowing up at t = T"
-    return replace(sol, metadata=md)
+    return linear3d("1/(T - t)", np.asarray(ov.get("C", _C_DEFAULT)),
+                    sigma=float(ov.get("sigma", 0.0)), params={"T": T}, blowup_time=T), {}
 
 
 def _preset_ex_6_1(ov):
-    sol = ns_halfspace_blowup(
+    return ns_halfspace_blowup(
         T=float(ov.get("T", 1.0)),
         sigma=float(ov.get("sigma", 1.0)),
         c=float(ov.get("c", 0.0)),
         x0=tuple(ov.get("x0", (0.0, 0.0, 0.0))),
         pressure_sign=int(ov.get("pressure_sign", 1)),
-        name="ex_6_1",
-    )
-    if "exclusion_radius" in ov:
-        sol = replace(sol, exclusion_radius=float(ov["exclusion_radius"]))
-    md = dict(sol.metadata)
-    md["summary"] = "viscous half-space solution blowing up at t = T"
-    return replace(sol, metadata=md)
+        exclusion_radius=float(ov.get("exclusion_radius", 0.01)),
+    ), {}
 
 
+# id: (builder, family, construction, summary)
 _PRESETS = {
-    "ex_2_5": _preset_ex_2_5,
-    "ex_2_6": _preset_ex_2_6,
-    "ex_3_2": _preset_ex_3_2,
-    "ex_3_10": _preset_ex_3_10,
-    "ex_3_4_smooth": _preset_ex_3_4_smooth,
-    "ex_3_4_singular": _preset_ex_3_4_singular,
-    "ex_5_1_const": _preset_ex_5_1_const,
-    "ex_5_1_blowup": _preset_ex_5_1_blowup,
-    "ex_6_1": _preset_ex_6_1,
+    "ex_2_5": (_preset_ex_2_5, "ij_vortex", "c(t) = t, h(r) = -1/r^2",
+               "vortex with circulation growing linearly in time; finite energy only at t = 1"),
+    "ex_2_6": (_preset_ex_2_6, "ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2",
+               "vortex blowing up at t = T, singular at the origin"),
+    "ex_3_2": (_preset_ex_3_2, "ij_vortex + boost",
+               "c = 1, h = -1/r^2 + 1/(1+r^2)^2, C = (1,1)",
+               "globally smooth traveling vortex; u - C has finite planar energy"),
+    "ex_3_10": (_preset_ex_3_10, "twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1",
+                "traveling wave whose components match in form exactly at t = T"),
+    "ex_3_4_smooth": (_preset_ex_3_4_smooth, "twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1",
+                      "globally smooth traveling wave with a single bump profile"),
+    "ex_3_4_singular": (_preset_ex_3_4_singular, "twin_wave", "v = 1/xi^2, c3 = 1",
+                        "traveling wave singular on a moving line"),
+    "ex_5_1_const": (_preset_ex_5_1_const, "linear3d", "f = 1, C = diag(1, 1, -2)",
+                     "steady linear strain field, valid for any viscosity"),
+    "ex_5_1_blowup": (_preset_ex_5_1_blowup, "linear3d", "f = 1/(T-t), C = diag(1, 1, -2)",
+                      "linear strain field with amplitude blowing up at t = T"),
+    "ex_6_1": (_preset_ex_6_1, "ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1",
+               "viscous half-space solution blowing up at t = T"),
 }
 
-PRESET_SUMMARIES = {
-    "ex_2_5": ("ij_vortex", "c(t) = t, h(r) = -1/r^2"),
-    "ex_2_6": ("ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2"),
-    "ex_3_2": ("ij_vortex + boost", "c = 1, h = -1/r^2 + 1/(1+r^2)^2, C = (1,1)"),
-    "ex_3_10": ("twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1"),
-    "ex_3_4_smooth": ("twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1"),
-    "ex_3_4_singular": ("twin_wave", "v = 1/xi^2, c3 = 1"),
-    "ex_5_1_const": ("linear3d", "f = 1, C = diag(1, 1, -2)"),
-    "ex_5_1_blowup": ("linear3d", "f = 1/(T-t), C = diag(1, 1, -2)"),
-    "ex_6_1": ("ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1"),
-}
+PRESET_SUMMARIES = {pid: (family, construction)
+                    for pid, (_, family, construction, _) in _PRESETS.items()}
 
 
 def preset_ids():
@@ -975,9 +970,10 @@ def preset(preset_id: str, overrides: Optional[dict] = None) -> SolutionPair:
     C, x0, c, pressure_sign, exclusion_radius) where applicable.
     """
     try:
-        builder = _PRESETS[preset_id]
+        builder, _, _, summary = _PRESETS[preset_id]
     except KeyError:
         raise FieldError(
             f"unknown preset {preset_id!r}; known presets: {', '.join(_PRESETS)}"
         ) from None
-    return builder(dict(overrides or {}))
+    sol, extra = builder(dict(overrides or {}))
+    return replace(sol, metadata={**sol.metadata, **extra, "name": preset_id, "summary": summary})

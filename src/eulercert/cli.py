@@ -14,6 +14,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .analysis import (
     l2_energy_difference,
     twin_wave_form_check,
 )
-from .catalog import PRESET_SUMMARIES, TransformSpec, preset, preset_ids
+from .catalog import FAMILIES, PRESET_SUMMARIES, TransformSpec, preset, preset_ids
 from .expressions import ExpressionError
 from .fields import FieldError, SolutionPair
 from .verification import RegionError, SampleRegion, Tolerances, certify, default_region
@@ -63,9 +64,7 @@ SPEC_SCHEMA = {
     "properties": {
         "format_version": {"const": 1},
         "name": {"type": "string"},
-        "family": {
-            "enum": ["preset", "ij_vortex", "twin_wave", "linear3d", "ns_halfspace_blowup"]
-        },
+        "family": {"enum": ["preset", *FAMILIES]},
         "preset": {"enum": sorted(PRESET_SUMMARIES)},
         "params": {
             "type": "object",
@@ -129,70 +128,48 @@ def validate_spec(doc: dict):
         raise SpecError("family 'preset' requires a 'preset' key")
 
 
+# constructor keyword -> spec key, where the two differ
+_SPEC_KEYS = {"params": "values", "singular_offsets": "singular_xi"}
+
+
+def _construct(family: str, params: dict) -> SolutionPair:
+    """Call the constructor of ``family`` with the spec ``params``, which
+    must be exactly keys it takes and include every key it requires."""
+    # looked up on the module at call time, so that a wrapper set there applies
+    ctor = getattr(catalog, family)
+    keywords = {_SPEC_KEYS.get(k, k): p for k, p in inspect.signature(ctor).parameters.items()
+                if k != "name"}
+    for key in params:
+        if key not in keywords:
+            raise SpecError(f"family {family!r} does not take parameter {key!r}")
+    for key, p in keywords.items():
+        if p.default is p.empty and key not in params:
+            raise SpecError(f"family {family!r} is missing required parameter {key!r}")
+    return ctor(**{keywords[k].name: v for k, v in params.items()})
+
+
 def build_solution(doc: dict) -> SolutionPair:
     """Construct a SolutionPair from a validated spec document."""
     validate_spec(doc)
     family = doc["family"]
-    params = dict(doc.get("params", {}))
-    values = dict(params.pop("values", {}))
-    name = doc.get("name")
-
-    try:
-        if family == "preset":
-            sol = preset(doc["preset"], overrides=params or None)
-        elif family == "ij_vortex":
-            sol = catalog.ij_vortex(
-                params["c"], params["h"], params=values,
-                blowup_time=params.get("blowup_time"),
-                exclusion_radius=params.get("exclusion_radius", 1e-3),
-                name=name or "ij_vortex",
-            )
-        elif family == "twin_wave":
-            sol = catalog.twin_wave(
-                params["v"], params.get("c1", 0.0), params.get("c2", 0.0),
-                params.get("c3", 1.0), params=values,
-                singular_offsets=tuple(params.get("singular_xi", ())),
-                exclusion_radius=params.get("exclusion_radius", 1e-3),
-                name=name or "twin_wave",
-            )
-        elif family == "linear3d":
-            sol = catalog.linear3d(
-                params["f"], np.asarray(params["C"], dtype=float),
-                sigma=params.get("sigma", 0.0), params=values,
-                blowup_time=params.get("blowup_time"),
-                name=name or "linear3d",
-            )
-        elif family == "ns_halfspace_blowup":
-            sol = catalog.ns_halfspace_blowup(
-                T=params.get("T", 1.0), sigma=params.get("sigma", 1.0),
-                c=params.get("c", 0.0), x0=tuple(params.get("x0", (0.0, 0.0, 0.0))),
-                pressure_sign=int(params.get("pressure_sign", 1)),
-                name=name or "ns_halfspace_blowup",
-            )
-            if "exclusion_radius" in params:
-                sol = replace(sol, exclusion_radius=float(params["exclusion_radius"]))
-        else:  # pragma: no cover - schema forbids
-            raise SpecError(f"unknown family {family!r}")
-    except KeyError as e:
-        raise SpecError(f"family {family!r} is missing required parameter {e.args[0]!r}") from None
-
+    params = doc.get("params", {})
+    if family == "preset":
+        sol = preset(doc["preset"], overrides=params or None)
+    else:
+        sol = _construct(family, params)
     for tr in doc.get("transforms", []):
         sol = catalog.apply_transform(sol, TransformSpec.from_dict(tr))
-    if name:
-        md = dict(sol.metadata)
-        md["name"] = name
-        sol = replace(sol, metadata=md)
-
+    md = dict(sol.metadata)
+    if doc.get("name"):
+        md["name"] = doc["name"]
     ov = doc.get("overrides", {})
+    if "box" in ov:
+        md["default_box"] = tuple(tuple(map(float, b)) for b in ov["box"])
+    if "time" in ov:
+        md["default_time"] = tuple(map(float, ov["time"]))
+    sol = replace(sol, metadata=md)
     if "exclusion_radius" in ov:
         sol = replace(sol, exclusion_radius=float(ov["exclusion_radius"]))
-    if "box" in ov or "time" in ov:
-        md = dict(sol.metadata)
-        if "box" in ov:
-            md["default_box"] = tuple(tuple(map(float, b)) for b in ov["box"])
-        if "time" in ov:
-            md["default_time"] = tuple(map(float, ov["time"]))
-        sol = replace(sol, metadata=md)
     return sol
 
 
@@ -208,51 +185,19 @@ def load_spec_file(path: str) -> SolutionPair:
 
 
 def solution_spec_for_preset(preset_id: str) -> dict:
-    """Full-fidelity spec document reconstructing a preset.
+    """Full-fidelity spec document reconstructing a preset: the family and
+    spec parameters its constructor recorded, and its transform chain.
 
     Re-importing the document yields a solution whose certification report
     is identical to the preset's.
     """
-    sol = preset(preset_id)
-    family = sol.metadata["family"]
-    raw = sol.metadata.get("params", {})
-    chain = sol.metadata.get("transform_chain", [])
-    params: dict = {}
-    if family == "ij_vortex":
-        params = {"c": raw["c"], "h": raw["h"], "values": dict(raw.get("values", {})),
-                  "exclusion_radius": sol.exclusion_radius}
-        T = sol.singular.blowup_time()
-        if T is not None:
-            params["blowup_time"] = T
-    elif family == "twin_wave":
-        params = {"v": raw["v"], "c1": raw["c1"], "c2": raw["c2"], "c3": raw["c3"],
-                  "values": dict(raw.get("values", {})),
-                  "exclusion_radius": sol.exclusion_radius}
-        singular_xi = []
-        for p in sol.singular.primitives:
-            if hasattr(p, "b0"):
-                # b0 is stored against the unit normal; rescale back to xi units
-                singular_xi.append(p.b0 * math.hypot(raw["c3"], 1.0))
-        if singular_xi:
-            params["singular_xi"] = singular_xi
-    elif family == "linear3d":
-        params = {"f": raw["f"], "C": raw["C"], "sigma": raw["sigma"],
-                  "values": dict(raw.get("values", {}))}
-        T = sol.singular.blowup_time()
-        if T is not None:
-            params["blowup_time"] = T
-    elif family == "ns_halfspace_blowup":
-        params = {"T": raw["T"], "sigma": raw["sigma"], "c": raw["c"],
-                  "x0": raw["x0"], "pressure_sign": raw["pressure_sign"],
-                  "exclusion_radius": sol.exclusion_radius}
-    if "values" in params and not params["values"]:
-        del params["values"]
+    md = preset(preset_id).metadata
     return {
         "format_version": 1,
         "name": preset_id,
-        "family": family,
-        "params": params,
-        "transforms": list(chain),
+        "family": md["family"],
+        "params": dict(md["params"]),
+        "transforms": list(md["transform_chain"]),
     }
 
 
@@ -281,13 +226,12 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _resolve(spec_arg: str) -> SolutionPair:
+def _resolve(spec_arg: str, pressure_sign=None) -> SolutionPair:
     if spec_arg in PRESET_SUMMARIES:
-        return preset(spec_arg)
+        overrides = None if pressure_sign is None else {"pressure_sign": pressure_sign}
+        return preset(spec_arg, overrides=overrides)
+    if pressure_sign is not None:
+        raise SpecError("--pressure-sign applies to preset ids only")
     return load_spec_file(spec_arg)
 
 
@@ -322,15 +266,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    overrides = {}
-    if args.pressure_sign is not None:
-        overrides["pressure_sign"] = args.pressure_sign
-    if args.spec in PRESET_SUMMARIES:
-        sol = preset(args.spec, overrides=overrides or None)
-    else:
-        if overrides:
-            raise SpecError("--pressure-sign applies to preset ids only")
-        sol = load_spec_file(args.spec)
+    sol = _resolve(args.spec, args.pressure_sign)
     region = default_region(sol, count=args.samples, seed=args.seed, until=args.until)
     if args.exclusion is not None:
         region = SampleRegion(box=region.box, time=region.time, count=region.count,
@@ -465,7 +401,10 @@ def cmd_grid_dump(args) -> int:
     lines = ["# format_version=1",
              ",".join(header_coords + ["t"] + [f"u{i+1}" for i in range(dim)]
                       + ["residual", "divergence"])]
-    row_format = ",".join(["%.17g"] * (2 * dim + 3))
+    # one %-format per pattern of non-finite cells: a non-finite cell prints
+    # the literal NA and "%.0s" consumes its value
+    weights = 1 << np.arange(2 * dim + 3)
+    row_formats = {}
     # row order: t outermost, then the last spatial axis, x1 fastest
     mesh = np.meshgrid(*axes, indexing="ij")
     Xflat = np.stack([m.reshape(-1, order="F") for m in mesh], axis=1)
@@ -498,15 +437,13 @@ def cmd_grid_dump(args) -> int:
                     except eval_errors:
                         pass
         table = np.column_stack([Xflat, Tflat, u, res, div])
-        finite = np.isfinite(table).all(axis=1).tolist()
-        # "%.17g" % x and format(x, ".17g") print the same digits
-        for row, whole in zip(table.tolist(), finite):
-            if whole:
-                lines.append(row_format % tuple(row))
-            else:
-                cells = [_g17(c) for c in row[:dim + 1]]
-                cells += [(_g17(v) if math.isfinite(v) else "NA") for v in row[dim + 1:]]
-                lines.append(",".join(cells))
+        patterns = (~np.isfinite(table)) @ weights
+        for row, pattern in zip(table.tolist(), patterns.tolist()):
+            fmt = row_formats.get(pattern)
+            if fmt is None:
+                fmt = row_formats[pattern] = ",".join(
+                    "NA%.0s" if pattern >> i & 1 else "%.17g" for i in range(len(weights)))
+            lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -540,10 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="preset id or solution-spec JSON file")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-residual", type=float, default=1e-8)
-    p.add_argument("--tol-div", type=float, default=1e-10)
-    p.add_argument("--tol-fd", type=float, default=1e-5)
-    p.add_argument("--tol-vorticity", type=float, default=1e-8)
+    tol = Tolerances()
+    p.add_argument("--tol-residual", type=float, default=tol.residual)
+    p.add_argument("--tol-div", type=float, default=tol.divergence)
+    p.add_argument("--tol-fd", type=float, default=tol.fd)
+    p.add_argument("--tol-vorticity", type=float, default=tol.vorticity)
     p.add_argument("--until", type=float, default=0.9,
                    help="fraction of the blow-up time to certify up to")
     p.add_argument("--exclusion", type=float, default=None,

@@ -393,6 +393,76 @@ class TestInputValidation:
             validate_spec(json.loads(p.read_text()))
 
 
+VORTEX = {"c": "1", "h": "-1/r^2 + 1/(1+r^2)^2"}
+
+
+class TestSpecInputErrors:
+    """Spec documents that used to raise out of the CLI, and keys a family
+    does not take: each is an input error, exit 2 with one 'error:' line."""
+
+    def _certify(self, tmp_path, capsys, doc):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        return run(capsys, "certify", str(p), "--samples", "300")
+
+    def test_numeric_circulation_is_the_constant_it_names(self, tmp_path, capsys):
+        code, out, err = self._certify(tmp_path, capsys, {
+            "family": "ij_vortex", "params": {**VORTEX, "c": 1}})
+        assert (code, err) == (0, "")
+        assert (code, out, err) == self._certify(tmp_path, capsys, {
+            "family": "ij_vortex", "params": VORTEX})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"family": "ij_vortex", "params": VORTEX, "transforms": [{"kind": "boost"}]},
+         "boost transform is missing 'velocity'"),
+        ({"family": "ij_vortex", "params": VORTEX,
+          "transforms": [{"kind": "rescale", "lam": 2}]},
+         "rescale transform is missing 'tau'"),
+        ({"family": "ij_vortex", "params": VORTEX, "transforms": [{"kind": "rotation"}]},
+         "rotation transform is missing 'angle'"),
+        ({"family": "linear3d",
+          "params": {"f": "1", "C": [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
+                     "exclusion_radius": 0.1}},
+         "family 'linear3d' does not take parameter 'exclusion_radius'"),
+        ({"family": "twin_wave", "params": {"v": "x", "blowup_time": 1.0}},
+         "family 'twin_wave' does not take parameter 'blowup_time'"),
+        ({"family": "ij_vortex", "params": {**VORTEX, "singular_xi": [1.0]}},
+         "family 'ij_vortex' does not take parameter 'singular_xi'"),
+        ({"family": "ns_halfspace_blowup", "params": {"values": {"a": 1}}},
+         "family 'ns_halfspace_blowup' does not take parameter 'values'"),
+        ({"family": "ij_vortex", "params": {"h": "-1/r^2"}},
+         "family 'ij_vortex' is missing required parameter 'c'"),
+        ({"family": "linear3d", "params": {"f": "1"}},
+         "family 'linear3d' is missing required parameter 'C'"),
+    ])
+    def test_is_input_error(self, tmp_path, capsys, doc, message):
+        code, out, err = self._certify(tmp_path, capsys, doc)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "ij_vortex", "name": "v",
+         "params": {"c": "1/(T - t)", "h": "-1/r^2", "values": {"T": 2.0},
+                    "exclusion_radius": 0.7, "blowup_time": 2.0}},
+        {"family": "twin_wave",
+         "params": {"v": "1/(x - 2.5)^2", "c1": 0.5, "c2": 0.1, "c3": 2.0,
+                    "exclusion_radius": 0.5, "singular_xi": [2.5]}},
+        {"family": "linear3d",
+         "params": {"f": "1/(T - t)", "C": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, -2.0]],
+                    "sigma": 0.3, "values": {"T": 1.0}, "blowup_time": 1.0}},
+        {"family": "ns_halfspace_blowup",
+         "params": {"T": 2.0, "sigma": 0.5, "c": 0.2, "x0": [0.1, 0.0, 0.0],
+                    "pressure_sign": -1, "exclusion_radius": 0.05}},
+    ])
+    def test_constructor_records_the_spec_params(self, doc):
+        # every key given, so the record is the document's params, in order;
+        # singular_xi is kept as given, not rebuilt from the unit normal
+        sol = build_solution(doc)
+        assert json.dumps(sol.metadata["params"]) == json.dumps(doc["params"])
+        assert sol.exclusion_radius == doc["params"].get("exclusion_radius", 1e-3)
+
+
 NON_FINITE_FLAGS = [
     ("norm", "ex_3_2", "--subtract-boost", "--t", "nan"),
     ("norm", "ex_3_4_smooth", "--delta", "1", "--R", "2", "--t", "inf"),

@@ -6,8 +6,10 @@ waves with c3 other than 1, and the stdout of the probe and grid-dump
 commands.  The digests were recorded before those three mechanisms were
 merged into one each, so a refactor that moves a single rounding step
 fails here.  The NA and 3D grid dumps were recorded before grid-dump
-formatted its finite rows with one format string per row.  A change that alters these outputs on purpose records new
-digests and says why.
+formatted its finite rows with one format string per row.  The `list`
+output and the spec documents exported for the nine presets were recorded
+before the constructors recorded their own spec parameters.  A change that
+alters these outputs on purpose records new digests and says why.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import json
 import pytest
 
 from eulercert.catalog import TransformSpec, apply_transform, preset, twin_wave
-from eulercert.cli import main
+from eulercert.cli import main, solution_spec_for_preset
 from eulercert.verification import certify, default_region
 
 TRANSFORMS = {
@@ -42,6 +44,8 @@ CLI = {
     "grid_dump_ex_2_6_na": ["grid-dump", "ex_2_6", "--box", "-1", "1", "-1", "1",
                             "--nx", "9", "--nt", "2"],
     "grid_dump_ex_6_1_3d": ["grid-dump", "ex_6_1", "--nx", "6", "--nt", "2"],
+    "list_table": ["list"],
+    "list_json": ["list", "--format", "json"],
 }
 
 TRANSFORMED_SHA256 = {
@@ -66,6 +70,21 @@ CLI_SHA256 = {
     "grid_dump_ex_3_2": "d893f57aad81b8fed4b233a0d95c29e91f3e59f4e26932345b5a3caa700fee84",
     "grid_dump_ex_2_6_na": "f4dd0e688a8752d6eea701f2aaa4093f2de746f2fb522558b37bd3a1455e360f",
     "grid_dump_ex_6_1_3d": "3bfc46cc4b6cb318b23d4dd52d7998f7186588d66d5d1384bafb91067c418116",
+    "list_table": "834d17ab999f93c3f80f2e38848a71c2b877a5d7cbba67b2ad52462a413ac197",
+    "list_json": "586443104045ea5e2bf6f07cc209ed98dced2f261c64ed8e2ee973ff99c4c54c",
+}
+
+# json.dumps(solution_spec_for_preset(pid))
+SPEC_SHA256 = {
+    "ex_2_5": "5e9fffa0f1c8946b11ff184546868f2c387d19162b3cf0ba8d97d00135d994c8",
+    "ex_2_6": "bd2c1887447750414885aa83510e645b528d02a98924fc69c5f23ed2308dea4f",
+    "ex_3_2": "0eaa1cb4c1eb6d3384391cd42fececb01bc6146a6f654680af7fd5542069691a",
+    "ex_3_10": "40c5d0afcd46f451bd2b72248671cdc25f50d916943637249549f10ce653fc48",
+    "ex_3_4_smooth": "206a88c21ae63181784e63dd3482791c87ebd8a0eb628d8c2f6215f315ab618d",
+    "ex_3_4_singular": "c93325e9c7b40c88337eda285b21c8bc98778a210719914160a39223b1d45e9f",
+    "ex_5_1_const": "7ea55d0ed5bd35743d78513c668baa44eb92df7ef5c5e840c7b70c52f5adc202",
+    "ex_5_1_blowup": "6aeedf7d8ccab230fab398b27d0b4b5e3c9d406c23fede90da943bbb67ca7435",
+    "ex_6_1": "cc8112641cec123a8613fc16873fcfa4cbe529df6ff365143a8ca83a3eda9544",
 }
 
 
@@ -100,3 +119,8 @@ def test_twin_wave_report_unchanged(key):
 def test_cli_stdout_unchanged(key, capsys):
     assert main(CLI[key]) == 0
     assert _sha(capsys.readouterr().out) == CLI_SHA256[key]
+
+
+@pytest.mark.parametrize("pid", sorted(SPEC_SHA256))
+def test_exported_spec_unchanged(pid):
+    assert _sha(json.dumps(solution_spec_for_preset(pid))) == SPEC_SHA256[pid]
