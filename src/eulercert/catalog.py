@@ -42,7 +42,9 @@ from .fields import (
     SolutionPair,
     VelocityJet,
     phase_field_jet,
+    phase_jacobian,
     radial_field_jet,
+    radial_jacobian,
 )
 
 __all__ = [
@@ -280,15 +282,16 @@ def ij_vortex(
     c_real = compile_real(c_ast, params)
     h_real = compile_real(h_ast, params)
 
-    def _g_jet(r: np.ndarray, T: np.ndarray):
-        """Jet of g in r, plus the time-derivative coefficient c'(t)."""
-        cjet = eval_jet(c_ast, Jet2.variable(T), params)
-        hjet = eval_jet(h_ast, Jet2.variable(r), params)
+    def _g_jet(r: np.ndarray, T: np.ndarray, order: int = 2):
+        """Jet of g in r (first-order for ``order`` 1), plus the
+        time-derivative coefficient c'(t)."""
+        cjet = eval_jet(c_ast, Jet2.variable(T, order), params)
+        hjet = eval_jet(h_ast, Jet2.variable(r, order), params)
         ir2 = 1.0 / (r * r)
         g = Jet2(
             cjet.value * ir2 + hjet.value,
             -2.0 * cjet.value * ir2 / r + hjet.d1,
-            6.0 * cjet.value * ir2 * ir2 + hjet.d2,
+            None if hjet.d2 is None else 6.0 * cjet.value * ir2 * ir2 + hjet.d2,
         )
         return g, cjet.d1
 
@@ -310,6 +313,10 @@ def ij_vortex(
         gt = cdot / (r * r)
         dt = np.stack([gt * X[:, 1], -gt * X[:, 0]], axis=1)
         return VelocityJet(value, jac, lap, dt)
+
+    def velocity_jacobian(X, T):
+        r = _radius(X)
+        return radial_jacobian(_g_jet(r, T, order=1)[0], X, r)
 
     def pressure_gradient(X, T):
         r = _radius(X)
@@ -375,6 +382,7 @@ def ij_vortex(
         viscosity=0.0,
         velocity=velocity,
         velocity_jet=velocity_jet,
+        velocity_jacobian=velocity_jacobian,
         pressure_gradient=pressure_gradient,
         pressure_value=pressure_val,
         pressure_cut_clearance=cut_clearance,
@@ -424,6 +432,10 @@ def twin_wave(
         jet = eval_jet(v_ast, Jet2.variable(_xi(X, T)), params)
         return phase_field_jet(len(X), (jet, jet), (1.0, c3), (c1, c2), (c3, -1.0), None, -speed)
 
+    def velocity_jacobian(X, T):
+        jet = eval_jet(v_ast, Jet2.variable(_xi(X, T), order=1), params)
+        return phase_jacobian(len(X), (jet, jet), (1.0, c3), (c3, -1.0))
+
     def pressure_gradient(X, T):
         return np.zeros((len(X), 2))
 
@@ -451,6 +463,7 @@ def twin_wave(
         viscosity=0.0,
         velocity=velocity,
         velocity_jet=velocity_jet,
+        velocity_jacobian=velocity_jacobian,
         pressure_gradient=pressure_gradient,
         pressure_value=pressure_val,
         singular=singular,
@@ -733,7 +746,7 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
     singular set.  A factor that is exactly 1, or an absent Q or C, is
     skipped: the identity changes no bit, and the hot paths skip its work.
     """
-    base_v, base_j = sol.velocity, sol.velocity_jet
+    base_v, base_j, base_jac = sol.velocity, sol.velocity_jet, sol.velocity_jacobian
     base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
     base_cut = sol.pressure_cut_clearance
     amp, scaled = lam / tau, (lam, tau) != (1.0, 1.0)
@@ -764,6 +777,13 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
         if C is not None:
             value, dt = value + C, dt - np.einsum("nij,j->ni", jac, C)
         return VelocityJet(value, jac, lap, dt)
+
+    def velocity_jacobian(X, T):
+        # the jet's Jacobian arithmetic; a boost leaves the Jacobian unchanged
+        jac = base_jac(*pull(X, T))
+        if Q is not None:
+            jac = np.einsum("ji,njk,kl->nil", Q, jac, Q)
+        return jac / tau if scaled else jac
 
     def pressure_gradient(X, T):
         g = base_pg(*pull(X, T))
@@ -805,6 +825,7 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
         sol,
         velocity=velocity,
         velocity_jet=velocity_jet,
+        velocity_jacobian=velocity_jacobian if base_jac is not None else None,
         pressure_gradient=pressure_gradient,
         pressure_value=pressure_val if base_pv is not None else None,
         pressure_cut_clearance=cut if base_cut is not None else None,
@@ -854,7 +875,8 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
 # noise by 1/step).  See the README for the calibration notes.
 #
 # A builder takes the overrides and returns the solution and the metadata
-# the preset adds to it; ``preset`` sets the name and summary.
+# the preset adds to it; ``preset`` sets the name and summary, and refuses
+# an override key that the preset's row does not name.
 # ---------------------------------------------------------------------------
 
 
@@ -932,31 +954,37 @@ def _preset_ex_6_1(ov):
     ), {}
 
 
-# id: (builder, family, construction, summary)
+_RADIUS = ("exclusion_radius",)
+_WAVE = ("c1", "c2", "c3") + _RADIUS
+
+# id: (builder, override keys it reads, family, construction, summary)
 _PRESETS = {
-    "ex_2_5": (_preset_ex_2_5, "ij_vortex", "c(t) = t, h(r) = -1/r^2",
+    "ex_2_5": (_preset_ex_2_5, _RADIUS, "ij_vortex", "c(t) = t, h(r) = -1/r^2",
                "vortex with circulation growing linearly in time; finite energy only at t = 1"),
-    "ex_2_6": (_preset_ex_2_6, "ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2",
+    "ex_2_6": (_preset_ex_2_6, ("T",) + _RADIUS, "ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2",
                "vortex blowing up at t = T, singular at the origin"),
-    "ex_3_2": (_preset_ex_3_2, "ij_vortex + boost",
+    "ex_3_2": (_preset_ex_3_2, ("C",) + _RADIUS, "ij_vortex + boost",
                "c = 1, h = -1/r^2 + 1/(1+r^2)^2, C = (1,1)",
                "globally smooth traveling vortex; u - C has finite planar energy"),
-    "ex_3_10": (_preset_ex_3_10, "twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1",
+    "ex_3_10": (_preset_ex_3_10, ("T",) + _WAVE, "twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1",
                 "traveling wave whose components match in form exactly at t = T"),
-    "ex_3_4_smooth": (_preset_ex_3_4_smooth, "twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1",
+    "ex_3_4_smooth": (_preset_ex_3_4_smooth, _WAVE, "twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1",
                       "globally smooth traveling wave with a single bump profile"),
-    "ex_3_4_singular": (_preset_ex_3_4_singular, "twin_wave", "v = 1/xi^2, c3 = 1",
+    "ex_3_4_singular": (_preset_ex_3_4_singular, _WAVE, "twin_wave", "v = 1/xi^2, c3 = 1",
                         "traveling wave singular on a moving line"),
-    "ex_5_1_const": (_preset_ex_5_1_const, "linear3d", "f = 1, C = diag(1, 1, -2)",
+    "ex_5_1_const": (_preset_ex_5_1_const, ("C", "sigma"), "linear3d",
+                     "f = 1, C = diag(1, 1, -2)",
                      "steady linear strain field, valid for any viscosity"),
-    "ex_5_1_blowup": (_preset_ex_5_1_blowup, "linear3d", "f = 1/(T-t), C = diag(1, 1, -2)",
+    "ex_5_1_blowup": (_preset_ex_5_1_blowup, ("T", "C", "sigma"), "linear3d",
+                      "f = 1/(T-t), C = diag(1, 1, -2)",
                       "linear strain field with amplitude blowing up at t = T"),
-    "ex_6_1": (_preset_ex_6_1, "ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1",
+    "ex_6_1": (_preset_ex_6_1, ("T", "sigma", "c", "x0", "pressure_sign") + _RADIUS,
+               "ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1",
                "viscous half-space solution blowing up at t = T"),
 }
 
 PRESET_SUMMARIES = {pid: (family, construction)
-                    for pid, (_, family, construction, _) in _PRESETS.items()}
+                    for pid, (_, _, family, construction, _) in _PRESETS.items()}
 
 
 def preset_ids():
@@ -966,14 +994,20 @@ def preset_ids():
 def preset(preset_id: str, overrides: Optional[dict] = None) -> SolutionPair:
     """Build a named preset with its documented default parameters.
 
-    ``overrides`` may replace the numeric defaults (T, sigma, c1, c2, c3,
-    C, x0, c, pressure_sign, exclusion_radius) where applicable.
+    ``overrides`` may replace the numeric defaults that the preset reads
+    (among T, sigma, c1, c2, c3, C, x0, c, pressure_sign and
+    exclusion_radius); any other key raises FieldError.
     """
     try:
-        builder, _, _, summary = _PRESETS[preset_id]
+        builder, keys, _, _, summary = _PRESETS[preset_id]
     except KeyError:
         raise FieldError(
             f"unknown preset {preset_id!r}; known presets: {', '.join(_PRESETS)}"
         ) from None
-    sol, extra = builder(dict(overrides or {}))
+    overrides = dict(overrides or {})
+    unknown = sorted(set(overrides) - set(keys))
+    if unknown:
+        raise FieldError(f"preset {preset_id!r} does not take override(s) {unknown}; "
+                         f"it takes {list(keys)}")
+    sol, extra = builder(overrides)
     return replace(sol, metadata={**sol.metadata, **extra, "name": preset_id, "summary": summary})

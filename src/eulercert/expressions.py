@@ -6,9 +6,10 @@ supplied as strings in a small arithmetic grammar.  Parsed expressions are
 evaluated together with their first and second derivatives by propagating
 truncated second-order Taylor triples (value, d1, d2) through the tree, so
 every profile automatically carries the derivatives that the PDE residual
-formulas need.  Where only values are needed, ``compile_real`` turns an AST
-into a closure that repeats the same value arithmetic without the
-derivatives.
+formulas need.  A first-order seed (``Jet2.variable(x, order=1)``) skips the
+second derivatives and carries the same value and d1.  Where only values
+are needed, ``compile_real`` turns an AST into a closure that repeats the
+same value arithmetic without the derivatives.
 
 Grammar summary:
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -92,16 +93,21 @@ class Jet2:
     ``(f*g).d2 == f.d2*g.value + 2*f.d1*g.d1 + f.value*g.d2``.  Entries may
     be scalars or numpy arrays of a common broadcastable shape, so a single
     evaluation can cover a whole batch of seed points.
+
+    A first-order jet has ``d2`` None, and so has every jet computed from
+    it: its value and d1 are those of the second-order jet bit for bit
+    (for an array seed; a scalar seed can take another ``^`` path, see
+    ``_int_exponent``), without the second-derivative arithmetic.
     """
 
     value: Real
     d1: Real
-    d2: Real
+    d2: Optional[Real]
 
     @staticmethod
-    def variable(x: Real) -> "Jet2":
-        """Seed for the free variable: (x, 1, 0)."""
-        return Jet2(x, 1.0, 0.0)
+    def variable(x: Real, order: int = 2) -> "Jet2":
+        """Seed for the free variable: (x, 1, 0), or (x, 1, None) for order 1."""
+        return Jet2(x, 1.0, 0.0 if order == 2 else None)
 
     @staticmethod
     def constant(k: Real) -> "Jet2":
@@ -109,25 +115,28 @@ class Jet2:
         return Jet2(k, 0.0, 0.0)
 
     def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
+        d2 = None if self.d2 is None or other.d2 is None else self.d2 + other.d2
+        return Jet2(self.value + other.value, self.d1 + other.d1, d2)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
+        d2 = None if self.d2 is None or other.d2 is None else self.d2 - other.d2
+        return Jet2(self.value - other.value, self.d1 - other.d1, d2)
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.d1, -self.d2)
+        return Jet2(-self.value, -self.d1, None if self.d2 is None else -self.d2)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.value * other.value,
-            self.d1 * other.value + self.value * other.d1,
-            self.d2 * other.value + 2.0 * self.d1 * other.d1 + self.value * other.d2,
-        )
+        d2 = None
+        if self.d2 is not None and other.d2 is not None:
+            d2 = self.d2 * other.value + 2.0 * self.d1 * other.d1 + self.value * other.d2
+        return Jet2(self.value * other.value, self.d1 * other.value + self.value * other.d1, d2)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
         q0 = self.value / other.value
         q1 = (self.d1 - q0 * other.d1) / other.value
-        q2 = (self.d2 - 2.0 * q1 * other.d1 - q0 * other.d2) / other.value
+        q2 = None
+        if self.d2 is not None and other.d2 is not None:
+            q2 = (self.d2 - 2.0 * q1 * other.d1 - q0 * other.d2) / other.value
         return Jet2(q0, q1, q2)
 
 
@@ -141,7 +150,7 @@ def _has_zero(v: Real) -> bool:
 
 def _chain(u: Jet2, f0: Real, f1: Real, f2: Real) -> Jet2:
     """Compose a scalar function (given f(u), f'(u), f''(u)) with a jet."""
-    return Jet2(f0, f1 * u.d1, f2 * u.d1 * u.d1 + f1 * u.d2)
+    return Jet2(f0, f1 * u.d1, None if u.d2 is None else f2 * u.d1 * u.d1 + f1 * u.d2)
 
 
 def _jet_exp(u: Jet2) -> Jet2:
@@ -219,7 +228,11 @@ def _power_by_squaring(base, n: int):
 
 
 def _int_exponent(expo: Jet2):
-    """The exponent as an int if a^b takes the repeated-multiplication path, else None."""
+    """The exponent as an int if a^b takes the repeated-multiplication path, else None.
+
+    An exponent that involves the seed of a first-order jet (d2 None) never
+    qualifies; at an array seed it would not anyway, its value being an array.
+    """
     expo_constant = (
         np.ndim(expo.d1) == 0
         and np.ndim(expo.d2) == 0

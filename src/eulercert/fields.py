@@ -33,7 +33,9 @@ __all__ = [
     "SingularSetDescriptor",
     "SolutionPair",
     "DEFAULT_EXCLUSION_RADIUS",
+    "radial_jacobian",
     "radial_field_jet",
+    "phase_jacobian",
     "phase_field_jet",
     "vorticity",
     "pressure_value",
@@ -293,6 +295,13 @@ class SolutionPair:
     T of shape (N,)); they are total on the admissible region (clearance of
     at least ``exclusion_radius`` from every hard singular primitive).
     ``viscosity`` is exactly 0.0 for inviscid entries.
+
+    ``velocity_jacobian``, where given, is ``velocity_jet(X, T).jacobian``
+    bit for bit, computed without the value, Laplacian and time derivative;
+    ``vorticity_batch`` reads it and falls back to the full jet when it is
+    None.  A transform (``catalog._step``) must map it the way it maps the
+    jet's Jacobian, and a pair that replaces ``velocity_jet`` with another
+    Jacobian must replace or clear it too.
     """
 
     dimension: int
@@ -303,6 +312,7 @@ class SolutionPair:
     singular: SingularSetDescriptor
     pressure_value: Optional[Callable] = None  # (X, T) -> (N,)
     pressure_cut_clearance: Optional[Callable] = None  # (X, T) -> (N,)
+    velocity_jacobian: Optional[Callable] = None  # (X, T) -> (N, dim, dim)
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS
     metadata: dict = field(default_factory=dict)
 
@@ -355,23 +365,30 @@ class SolutionPair:
 # ---------------------------------------------------------------------------
 
 
-def radial_field_jet(phi: Jet2, Y: np.ndarray, r: np.ndarray):
-    """Assemble value/jacobian/laplacian of u = (phi(r) y2, -phi(r) y1).
-
-    ``phi`` is the profile jet in r evaluated at ``r = |Y|`` (batched).
-    Returns (value (N,2), jacobian (N,2,2), laplacian (N,2)).  The Jacobian
-    trace vanishes exactly because the two diagonal entries are the same
-    computed product with opposite signs.
+def radial_jacobian(phi: Jet2, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Jacobian (N,2,2) of u = (phi(r) y2, -phi(r) y1); reads only the value
+    and first derivative of ``phi``.  The trace vanishes exactly because the
+    two diagonal entries are the same computed product with opposite signs.
     """
     y1, y2 = Y[:, 0], Y[:, 1]
-    n = len(r)
     q = phi.d1 / r
     off = q * y1 * y2
-    jac = np.empty((n, 2, 2))
+    jac = np.empty((len(r), 2, 2))
     jac[:, 0, 0] = off
     jac[:, 0, 1] = phi.value + q * y2 * y2
     jac[:, 1, 0] = -(phi.value + q * y1 * y1)
     jac[:, 1, 1] = -off
+    return jac
+
+
+def radial_field_jet(phi: Jet2, Y: np.ndarray, r: np.ndarray):
+    """Assemble value/jacobian/laplacian of u = (phi(r) y2, -phi(r) y1).
+
+    ``phi`` is the profile jet in r evaluated at ``r = |Y|`` (batched).
+    Returns (value (N,2), jacobian (N,2,2), laplacian (N,2)).
+    """
+    y1, y2 = Y[:, 0], Y[:, 1]
+    jac = radial_jacobian(phi, Y, r)
     lapfac = phi.d2 + 3.0 * phi.d1 / r
     value = np.stack([phi.value * y2, -phi.value * y1], axis=1)
     lap = np.stack([lapfac * y2, -lapfac * y1], axis=1)
@@ -389,8 +406,7 @@ def phase_field_jet(n: int, profiles, coeffs, offsets, grad, lap, dt) -> Velocit
     du_i/dx_j = d_j eta a_i V_i', lap u_i = a_i (|grad eta|^2 V_i'' +
     lap eta V_i') and du_i/dt = d_t eta a_i V_i'.
     """
-    value, jac = np.empty((n, 2)), np.empty((n, 2, 2))
-    lap_u, dt_u = np.empty((n, 2)), np.empty((n, 2))
+    value, lap_u, dt_u = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
     grad2 = grad[0] * grad[0] + grad[1] * grad[1]
     for i, (V, a) in enumerate(zip(profiles, coeffs)):
         v, vp, vpp = V.value, V.d1, V.d2
@@ -398,26 +414,40 @@ def phase_field_jet(n: int, profiles, coeffs, offsets, grad, lap, dt) -> Velocit
         if a != 1.0:
             v, vp, curv = a * v, a * vp, a * curv
         value[:, i] = v if offsets is None else v + offsets[i]
-        jac[:, i, 0] = grad[0] * vp
-        jac[:, i, 1] = grad[1] * vp
         lap_u[:, i] = curv
         dt_u[:, i] = dt * vp
-    return VelocityJet(value, jac, lap_u, dt_u)
+    return VelocityJet(value, phase_jacobian(n, profiles, coeffs, grad), lap_u, dt_u)
+
+
+def phase_jacobian(n: int, profiles, coeffs, grad) -> np.ndarray:
+    """Jacobian (n,2,2) of the ``phase_field_jet`` field, du_i/dx_j =
+    d_j eta a_i V_i'; reads only the first derivative of each profile."""
+    jac = np.empty((n, 2, 2))
+    for i, (V, a) in enumerate(zip(profiles, coeffs)):
+        vp = V.d1 if a == 1.0 else a * V.d1
+        jac[:, i, 0] = grad[0] * vp
+        jac[:, i, 1] = grad[1] * vp
+    return jac
 
 
 def vorticity(sol: SolutionPair, point: SpaceTimePoint) -> float:
     """Scalar vorticity du2/dx1 - du1/dx2 of a 2D solution."""
     if sol.dimension != 2:
         raise FieldError("vorticity is defined for 2D solutions only")
-    jet = sol.velocity_jet_at(point)
-    return float(jet.jacobian[1, 0] - jet.jacobian[0, 1])
+    sol.check_admissible(point)
+    return float(vorticity_batch(sol, *point.arrays())[0])
 
 
 def vorticity_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Vorticity at the points, from ``velocity_jacobian`` when the pair has
+    one and from the full velocity jet otherwise."""
     if sol.dimension != 2:
         raise FieldError("vorticity is defined for 2D solutions only")
-    jet = sol.velocity_jet(X, T)
-    return jet.jacobian[:, 1, 0] - jet.jacobian[:, 0, 1]
+    if sol.velocity_jacobian is not None:
+        jac = sol.velocity_jacobian(X, T)
+    else:
+        jac = sol.velocity_jet(X, T).jacobian
+    return jac[:, 1, 0] - jac[:, 0, 1]
 
 
 def pressure_value(sol: SolutionPair, point: SpaceTimePoint) -> PressureInfo:

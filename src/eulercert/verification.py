@@ -239,8 +239,9 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
                 f"rejection rate above 99%: {accepted} accepted in {drawn} draws; "
                 "the region is mostly inside the singular-set exclusion"
             )
-        # candidates expected to yield the missing points, with a margin
-        per_point = 1.25 * drawn / max(accepted, 1) if drawn else 2.0
+        # candidates expected to yield the missing points, with a margin; the
+        # first block assumes every candidate is admissible (count + 8 rows)
+        per_point = 1.25 * drawn / max(accepted, 1) if drawn else 1.0
         rows = min(math.ceil((n - accepted) * per_point) + 8,
                    _BLOCK_DRAWS // (dim + 1), max_attempts - drawn)
         u = _splitmix64_block(region.seed, drawn * (dim + 1), rows * (dim + 1))

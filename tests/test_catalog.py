@@ -278,6 +278,81 @@ class TestPresets:
         assert sol.metadata["params"]["pressure_sign"] == -1
         assert sol.viscosity == 2.0
 
+    @pytest.mark.parametrize("pid, overrides", [
+        ("ex_2_5", {"pressure_sign": -1}),
+        ("ex_2_5", {"sigma": 2.0}),
+        ("ex_3_4_smooth", {"T": 2.0, "c1": 0.5}),
+        ("ex_5_1_const", {"exclusion_radius": 0.1}),
+    ])
+    def test_override_the_preset_does_not_read_is_refused(self, pid, overrides):
+        with pytest.raises(FieldError, match=f"preset '{pid}' does not take override"):
+            preset(pid, overrides)
+
+
+PLANAR_PRESETS = ("ex_2_5", "ex_2_6", "ex_3_2", "ex_3_10", "ex_3_4_smooth", "ex_3_4_singular")
+TRANSFORM_CHAINS = {
+    "rotation": (TransformSpec.rotation(0.7),),
+    "rescale": (TransformSpec.rescale(1.5, 0.8),),
+    "boost_rotation_rescale": (TransformSpec.rescale(0.6, 1.3), TransformSpec.rotation(-1.1),
+                               TransformSpec.boost((0.4, -0.9))),
+}
+
+
+def _samples(sol, count=400, seed=2):
+    return _sample_arrays(default_region(sol, count=count, seed=seed), sol.singular,
+                          sol.exclusion_radius)
+
+
+class TestVelocityJacobian:
+    """``velocity_jacobian`` is the jet's Jacobian, bit for bit."""
+
+    @staticmethod
+    def assert_jet_jacobian(sol, count=400):
+        X, T = _samples(sol, count)
+        assert np.array_equal(sol.velocity_jacobian(X, T), sol.velocity_jet(X, T).jacobian)
+
+    @pytest.mark.parametrize("pid", PLANAR_PRESETS)
+    def test_planar_presets(self, pid):
+        self.assert_jet_jacobian(preset(pid))
+
+    @pytest.mark.parametrize("pid", ["ex_2_5", "ex_3_4_smooth"])
+    @pytest.mark.parametrize("chain", sorted(TRANSFORM_CHAINS))
+    def test_transformed(self, pid, chain):
+        sol = preset(pid)
+        for tr in TRANSFORM_CHAINS[chain]:
+            sol = apply_transform(sol, tr)
+        self.assert_jet_jacobian(sol)
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "ij_vortex", "params": {"c": "a*t + 1", "h": "1/(1+r^2)",
+                                           "values": {"a": 0.5}, "exclusion_radius": 0.2}},
+        {"family": "twin_wave", "params": {"v": "1/x^2", "c1": 0.5, "c2": -1.0, "c3": 2.0,
+                                           "singular_xi": [0.0], "exclusion_radius": 0.3}},
+    ])
+    def test_spec_documents(self, doc):
+        from eulercert.cli import build_solution
+
+        assert doc["family"] in catalog.FAMILIES
+        self.assert_jet_jacobian(build_solution(doc))
+
+    @pytest.mark.parametrize("pid", ["ex_5_1_const", "ex_6_1"])
+    def test_three_dimensional_families_have_none(self, pid):
+        assert preset(pid).velocity_jacobian is None
+
+    def test_pair_without_it_has_the_same_vorticity(self):
+        from eulercert.analysis import _affine_solution
+        from eulercert.fields import vorticity_batch
+
+        affine = _affine_solution(parse("1/(1+x^2)", "x"), parse("x", "x"), 0.3, 1.0, {})
+        assert affine.velocity_jacobian is None
+        X, T = _samples(affine)
+        jac = affine.velocity_jet(X, T).jacobian
+        assert np.array_equal(vorticity_batch(affine, X, T), jac[:, 1, 0] - jac[:, 0, 1])
+        wave = preset("ex_3_4_smooth")
+        X, T = _samples(wave)
+        bare = replace(wave, velocity_jacobian=None)
+        assert np.array_equal(vorticity_batch(bare, X, T), vorticity_batch(wave, X, T))
+
 
 # Integrands of the radial quadrature: the three vortex presets' r g(r, t)^2
 # at a fixed c(t), and two generic smooth profiles.  Each entry is

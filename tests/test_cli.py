@@ -63,6 +63,20 @@ class TestCertify:
         assert doc["max_residual"] >= 0.1
         assert doc["notes"]["pressure_sign"] == -1
 
+    def test_pressure_sign_on_a_preset_without_one_is_input_error(self, capsys):
+        code, out, err = run(capsys, "certify", "ex_2_5", "--pressure-sign", "-1",
+                             "--samples", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'pressure_sign'" in err
+
+    def test_preset_spec_with_unread_param_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "preset.json"
+        p.write_text(json.dumps({"family": "preset", "preset": "ex_2_5",
+                                 "params": {"sigma": 2.0}}))
+        code, out, err = run(capsys, "certify", str(p), "--samples", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'sigma'" in err
+
     def test_missing_spec_file(self, capsys):
         code, _, err = run(capsys, "certify", "missing.json")
         assert code == 2

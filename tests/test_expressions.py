@@ -295,6 +295,22 @@ def test_compiled_array_matches_jet_value(text, xs):
                          _outcome(lambda: eval_jet(ast, Jet2.variable(x), PARITY_PARAMS).value))
 
 
+@given(text=expression_texts,
+       xs=st.lists(scalar_points, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_first_order_jet_matches_second_order(text, xs):
+    # an array seed of order 1 carries the value and d1 of order 2, bit for bit
+    ast = parse(text, "x")
+    x = np.array(xs)
+
+    def evaluate(order):
+        jet = eval_jet(ast, Jet2.variable(x, order), PARITY_PARAMS)
+        return [(np.shape(v), np.asarray(v).tobytes()) for v in (jet.value, jet.d1)]
+
+    first, second = _outcome(lambda: evaluate(1)), _outcome(lambda: evaluate(2))
+    assert first == second
+
+
 @pytest.mark.parametrize("text,x", [
     ("ln(x)", 0.0), ("ln(x - 1)", 0.5), ("sqrt(x)", -1.0), ("sqrt(x^2)", 0.0),
     ("1/(x - 2)", 2.0), ("a/(x*x)", 0.0),

@@ -225,19 +225,24 @@ class TestCertify:
             with pytest.raises(FieldError, match=f"{field} tolerance"):
                 Tolerances(**{field: value})
 
-    @pytest.mark.parametrize("pid, jets", [("ex_3_4_smooth", 13), ("ex_5_1_const", 1)])
-    def test_one_base_point_jet_per_certify(self, pid, jets):
+    @pytest.mark.parametrize("pid, jets, jacobians",
+                             [("ex_3_4_smooth", 1, 12), ("ex_5_1_const", 1, 0)])
+    def test_one_base_point_jet_per_certify(self, pid, jets, jacobians):
         # one jet at the samples for the residual, the divergence and the FD
-        # panel; in 2D, twelve more at the vorticity stencil points
+        # panel; in 2D, twelve Jacobians at the vorticity stencil points
         sol = preset(pid)
-        calls = []
+        calls = {"jet": 0, "jacobian": 0}
 
-        def counting(X, T):
-            calls.append(len(X))
-            return sol.velocity_jet(X, T)
+        def counting(name, fn):
+            def evaluate(X, T):
+                calls[name] += 1
+                return fn(X, T)
+            return evaluate if fn is not None else None
 
-        certify(replace(sol, velocity_jet=counting), default_region(sol, count=200, seed=0))
-        assert len(calls) == jets
+        counted = replace(sol, velocity_jet=counting("jet", sol.velocity_jet),
+                          velocity_jacobian=counting("jacobian", sol.velocity_jacobian))
+        certify(counted, default_region(sol, count=200, seed=0))
+        assert calls == {"jet": jets, "jacobian": jacobians}
 
 
 class TestOracleIndependence:
@@ -309,6 +314,18 @@ class TestBlockSamplerParity:
         with pytest.raises(RegionError, match="99%") as got:
             _sample_arrays(region, sing, 5.0)
         assert str(ref.value) in str(got.value)
+
+    @pytest.mark.parametrize("pid, count", [("ex_3_4_smooth", 1), ("ex_3_4_smooth", 8),
+                                            ("ex_3_4_smooth", 9), ("ex_3_4_smooth", 2000),
+                                            ("ex_2_6", 2000), ("ex_6_1", 2000)])
+    def test_block_edges_match_reference(self, pid, count):
+        # ex_3_4_smooth accepts every draw, so its first block of count + 8
+        # candidates suffices; ex_2_6 and ex_6_1 reject some and need a second
+        sol = preset(pid)
+        region = default_region(sol, count=count, seed=4)
+        X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
+        X_ref, T_ref = _per_draw_samples(region, sol.singular, sol.exclusion_radius)
+        assert np.array_equal(X, X_ref) and np.array_equal(T, T_ref)
 
     def test_mostly_excluded_region_matches_reference(self):
         # about 3% of the box is admissible: many blocks, each sized from the rate so far
