@@ -25,6 +25,7 @@ from .fields import (
     SingularSetDescriptor,
     SolutionPair,
     phase_field_jet,
+    row_norm,
 )
 from .verification import SampleRegion, _residual_batch, _divergence_batch, _sample_arrays
 
@@ -343,7 +344,7 @@ DEFAULT_PROBE_REGION = SampleRegion(box=((1.0, 2.0), (1.0, 2.0)), time=(0.0, 0.5
 def _probe_sup(sol: SolutionPair, region: SampleRegion, include_divergence: bool) -> ProbeResult:
     X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
     jet = sol.velocity_jet(X, T)
-    values = np.linalg.norm(_residual_batch(sol, X, T, jet), axis=1)
+    values = row_norm(_residual_batch(sol, X, T, jet))
     if include_divergence:
         values = values + np.abs(_divergence_batch(sol, X, T, jet))
     if not np.all(np.isfinite(values)):

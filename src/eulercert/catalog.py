@@ -513,7 +513,12 @@ def linear3d(
 
     def velocity(X, T):
         fv = np.asarray(f_real(T))
-        return (fv[:, None] if fv.ndim else fv) * (X @ C)
+        Cx = X @ C
+        if not fv.ndim:
+            return fv * Cx
+        for k in range(3):
+            np.multiply(fv, Cx[:, k], out=Cx[:, k])
+        return Cx
 
     def velocity_jet(X, T):
         n = len(X)
@@ -617,7 +622,7 @@ def ns_halfspace_blowup(
         tau = T - T_
         if np.any(tau <= 0.0):
             raise InadmissiblePointError("time at or beyond the blow-up time")
-        s = np.sum(X - np.asarray(x0), axis=1)
+        s = (X[:, 0] - x0[0]) + (X[:, 1] - x0[1]) + (X[:, 2] - x0[2])
         isq = 1.0 / np.sqrt(tau)
         A = s * s / (12.0 * sigma * tau) - s * isq / sigma
         E = np.exp(A)
@@ -753,7 +758,10 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
 
     def pull(X, T):
         if C is not None:
-            X = X - np.outer(T, C)
+            Xb = np.empty_like(X)
+            for k, c in enumerate(C):
+                np.subtract(X[:, k], T * c, out=Xb[:, k])
+            X = Xb
         if Q is not None:
             X = X @ Q.T
         return (X / lam, T / tau) if scaled else (X, T)
@@ -764,7 +772,12 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
             u = u @ Q
         if scaled:
             u = amp * u
-        return u if C is None else u + C
+        if C is None:
+            return u
+        w = np.empty_like(u)
+        for k, c in enumerate(C):
+            np.add(u[:, k], c, out=w[:, k])
+        return w
 
     def velocity_jet(X, T):
         jet = base_j(*pull(X, T))

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .catalog import FAMILIES, PRESET_SUMMARIES, TransformSpec, preset, preset_ids
 from .expressions import ExpressionError
-from .fields import FieldError, SolutionPair
+from .fields import FieldError, SolutionPair, row_norm
 from .verification import RegionError, SampleRegion, Tolerances, certify, default_region
 
 __all__ = ["main", "build_solution", "load_spec_file", "solution_spec_for_preset", "SPEC_SCHEMA"]
@@ -418,7 +418,7 @@ def cmd_grid_dump(args) -> int:
             Xa, Ta = Xflat[ok], Tflat[ok]
             u[ok] = sol.velocity(Xa, Ta)
             jet = sol.velocity_jet(Xa, Ta)
-            res[ok] = np.linalg.norm(_residual_batch(sol, Xa, Ta, jet), axis=1)
+            res[ok] = row_norm(_residual_batch(sol, Xa, Ta, jet))
             div[ok] = _divergence_batch(sol, Xa, Ta, jet)
         bad = np.flatnonzero(~ok)
         if len(bad):

@@ -33,6 +33,9 @@ __all__ = [
     "SingularSetDescriptor",
     "SolutionPair",
     "DEFAULT_EXCLUSION_RADIUS",
+    "row_sum",
+    "row_norm",
+    "row_max",
     "radial_jacobian",
     "radial_field_jet",
     "phase_jacobian",
@@ -96,6 +99,70 @@ class PressureInfo:
 
 
 # ---------------------------------------------------------------------------
+# Row reductions over the point axis
+#
+# Per-point arrays have shape (N, dim) with dim = 2 or 3.  numpy broadcasts
+# and reduces over such a short trailing axis several times more slowly than
+# it works on whole columns, so the hot paths work one column at a time.
+# Column folds run left to right, which for 2-3 columns is numpy's own
+# order, so every value equals its numpy form.  Matrix products, einsums
+# and the Gauss-Legendre sums of ``catalog.quad`` keep numpy's order:
+# theirs is not a left fold.
+# ---------------------------------------------------------------------------
+
+
+def _offsets(X, T, origin, vel):
+    """Columns x_k - (origin_k + vel_k t) of the points about an origin that
+    moves at constant velocity."""
+    return (X[:, k] - (p + T * v) for k, (p, v) in enumerate(zip(origin, vel)))
+
+
+def _fold_sum(columns) -> np.ndarray:
+    columns = iter(columns)
+    out = next(columns) + next(columns, 0.0)
+    for c in columns:
+        out += c
+    return out
+
+
+def _fold_norm(columns) -> np.ndarray:
+    columns = iter(columns)
+    c = next(columns)
+    out = c * c
+    for c in columns:
+        out += c * c
+    return np.sqrt(out, out=out)
+
+
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis=1)`` for a 2-D ``A`` with a few columns, without numpy's
+    slow reduction over a short trailing axis: the columns are folded left
+    to right, ((a0 + a1) + a2), which is numpy's order below 8 columns.  Same
+    values, NaN and inf included; only a row of -0.0 differs, summing to -0.0
+    here and to 0.0 in numpy."""
+    return _fold_sum(A.T)
+
+
+def row_norm(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(A, axis=1)`` for a 2-D ``A`` with a few columns,
+    without numpy's slow reduction over a short trailing axis:
+    sqrt((a0*a0 + a1*a1) + a2*a2), the squares folded left to right, which is
+    numpy's order below 8 columns.  Same values, NaN, inf and overflow
+    included."""
+    return _fold_norm(A.T)
+
+
+def row_max(A: np.ndarray) -> np.ndarray:
+    """``A.max(axis=1)`` for a 2-D ``A`` with a few columns, without numpy's
+    slow reduction over a short trailing axis: the columns are folded left to
+    right.  Same values, NaN included."""
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(out, A[:, j], out=out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Singular-set primitives
 #
 # Each primitive reports a nonnegative distance that is exactly zero on its
@@ -116,8 +183,7 @@ class MovingPoint:
         object.__setattr__(self, "vel", tuple(float(v) for v in self.vel))
 
     def distance(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        center = np.asarray(self.pos0) + np.outer(T, np.asarray(self.vel))
-        return np.linalg.norm(X - center, axis=1)
+        return _fold_norm(_offsets(X, T, self.pos0, self.vel))
 
     def excludes(self, X, T, radius):
         return self.distance(X, T) < radius
@@ -218,8 +284,7 @@ class HalfSpaceBoundary:
         object.__setattr__(self, "vel", tuple(float(v) for v in self.vel))
 
     def _s(self, X, T):
-        shift = np.asarray(self.x0) + np.outer(T, np.asarray(self.vel))
-        return np.sum(X - shift, axis=1)
+        return _fold_sum(_offsets(X, T, self.x0, self.vel))
 
     def distance(self, X, T):
         return np.abs(self._s(X, T)) / math.sqrt(len(self.x0))

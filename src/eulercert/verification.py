@@ -29,6 +29,8 @@ from .fields import (
     SingularSetDescriptor,
     SolutionPair,
     SpaceTimePoint,
+    row_max as _row_max,
+    row_norm,
     vorticity_batch,
 )
 
@@ -227,8 +229,6 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
     """
     dim = region.dim
     n = region.count
-    lo = np.array([b[0] for b in region.box])
-    hi = np.array([b[1] for b in region.box])
     t0, t1 = region.time
     xs, ts = [], []
     accepted = drawn = 0
@@ -246,7 +246,9 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
                    _BLOCK_DRAWS // (dim + 1), max_attempts - drawn)
         u = _splitmix64_block(region.seed, drawn * (dim + 1), rows * (dim + 1))
         u = u.reshape(rows, dim + 1)
-        X = lo + u[:, :dim] * (hi - lo)
+        X = np.empty((rows, dim))
+        for k, (lo, hi) in enumerate(region.box):
+            np.add(lo, u[:, k] * (hi - lo), out=X[:, k])
         T = t0 + u[:, dim] * (t1 - t0)
         keep = np.flatnonzero(sing.admissible(X, T, radius))[:n - accepted]
         xs.append(X[keep])
@@ -301,7 +303,9 @@ def _clearance_capped_steps(X, T, clear, base, fraction):
     """Per-point steps: base * max(1, |coord|), capped at ``fraction`` of the
     clearance ``clear`` to the singular set."""
     cap = np.where(np.isfinite(clear), fraction * clear, np.inf)
-    hx = np.minimum(base * np.maximum(1.0, np.abs(X)), cap[:, None])
+    hx = np.empty(X.shape, order="F")  # the stencils read one axis at a time
+    for k in range(X.shape[1]):
+        np.minimum(base * np.maximum(1.0, np.abs(X[:, k])), cap, out=hx[:, k])
     ht = np.minimum(base * np.maximum(1.0, np.abs(T)), cap)
     return hx, ht
 
@@ -320,14 +324,26 @@ def _shifted(f, X, T, axis, h):
     return [at(m) for m in (-2, -1, 1, 2)]
 
 
+def _per_point(num, den):
+    """``num / den`` for a per-point ``den`` of shape (N,), divided in place
+    one column at a time when ``num`` has shape (N, dim)."""
+    if num.ndim == 1:
+        return np.divide(num, den, out=num)
+    for k in range(num.shape[1]):
+        np.divide(num[:, k], den, out=num[:, k])
+    return num
+
+
 def _fd1(values, h):
+    """4th-order first derivative; ``h`` is a step per point, shape (N,)."""
     fm2, fm1, fp1, fp2 = values
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    return _per_point(-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2, 12.0 * h)
 
 
 def _fd2(values, f0, h):
+    """4th-order second derivative; ``h`` is a step per point, shape (N,)."""
     fm2, fm1, fp1, fp2 = values
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return _per_point(-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2, 12.0 * h * h)
 
 
 def _fd_steps(X, T, clear):
@@ -349,9 +365,9 @@ def _fd_velocity_jet(sol: SolutionPair, X, T, steps, u):
     jac = np.empty((n, dim, dim))
     lap = np.zeros((n, dim))
     for j in range(dim):
-        jac[:, :, j] = _fd1(_shifted(sol.velocity, X, T, j, hx1[:, j]), hx1[:, j, None])
-        lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), u, hx2[:, j, None])
-    dt = _fd1(_shifted(sol.velocity, X, T, dim, ht1), ht1[:, None])
+        jac[:, :, j] = _fd1(_shifted(sol.velocity, X, T, j, hx1[:, j]), hx1[:, j])
+        lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), u, hx2[:, j])
+    dt = _fd1(_shifted(sol.velocity, X, T, dim, ht1), ht1)
     return jac, lap, dt
 
 
@@ -362,16 +378,6 @@ def _fd_pressure_gradient(sol: SolutionPair, X, T):
     for j in range(X.shape[1]):
         grad[:, j] = _fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
     return grad
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=1)`` for a 2-D ``a`` with a few columns, folded one column
-    at a time: numpy reduces a short trailing axis an order of magnitude more
-    slowly.  Same values, NaN included."""
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(out, a[:, j], out=out)
-    return out
 
 
 def _rel_discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -496,7 +502,7 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
     # every stage reads the same jet, velocity and clearance at the samples
     jet, u, clear = sol.velocity_jet(X, T), sol.velocity(X, T), sol.singular.clearance(X, T)
 
-    res = np.linalg.norm(_residual_batch(sol, X, T, jet), axis=1)
+    res = row_norm(_residual_batch(sol, X, T, jet))
     div = np.abs(_divergence_batch(sol, X, T, jet))
     fd = _fd_panel(sol, X, T, jet, u, _fd_steps(X, T, clear))
 
@@ -553,7 +559,7 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
         box=tuple(tuple(b) for b in region.box),
         time=tuple(region.time),
         max_residual=float(res.max()),
-        mean_residual=float(math.fsum(res) / len(res)),
+        mean_residual=math.fsum(res.tolist()) / len(res),
         max_divergence=float(div.max()),
         max_fd_discrepancy=float(fd.max()),
         max_vorticity_transport=max_vort,

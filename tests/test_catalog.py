@@ -646,3 +646,114 @@ class TestRadialBisection:
     def test_unresolvable_row_names_the_radial_quadrature(self):
         with pytest.raises(FieldError, match="radial quadrature did not converge"):
             catalog.quad(lambda x, rows: np.abs(x - 1.5) ** -0.5, 1.0, [2.0], **QUAD_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Parity of the per-column evaluators with the broadcast expressions they
+# replaced.  Each oracle below keeps the old expression; the new code must
+# match it bit for bit, at one point and at 10^4.
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _halfspace_reference(X, T_, T, sigma, c, x0, sign):
+    """``ns_halfspace_blowup``'s fields with s = np.sum(X - x0, axis=1)."""
+    tau = T - T_
+    s = np.sum(X - np.asarray(x0), axis=1)
+    isq = 1.0 / np.sqrt(tau)
+    E = np.exp(s * s / (12.0 * sigma * tau) - s * isq / sigma)
+    A_s = s / (6.0 * sigma * tau) - isq / sigma
+    A_ss = 1.0 / (6.0 * sigma * tau)
+    A_t = s * s / (12.0 * sigma * tau * tau) - 0.5 * s * isq / (sigma * tau)
+    u12, u3 = isq * (-1.0 + E), -isq * (1.0 + 2.0 * E)
+    w = isq * E * A_s
+    w2 = isq * E * (A_s * A_s + A_ss)
+    halftau32 = 0.5 * isq / tau
+    u12_t = halftau32 * (-1.0 + E) + isq * E * A_t
+    u3_t = -(halftau32 * (1.0 + 2.0 * E) + 2.0 * isq * E * A_t)
+    return {
+        "value": np.stack([u12, u12, u3], axis=1),
+        "jacobian": np.repeat(np.stack([w, w, -2.0 * w], axis=1)[:, :, None], 3, axis=2),
+        "laplacian": 3.0 * np.stack([w2, w2, -2.0 * w2], axis=1),
+        "dt": np.stack([u12_t, u12_t, u3_t], axis=1),
+        "pressure_gradient": np.repeat((sign * 0.5 * isq / tau)[:, None], 3, axis=1),
+        "pressure_value": sign * (0.5 * s * isq + c) / tau,
+    }
+
+
+def _old_boost_rescale(base, C, lam, tau):
+    """The boost by C, then the rescale, with the boost's ``X - np.outer(T, C)``
+    and ``u + C``."""
+    amp = lam / tau
+
+    def pull(X, T):
+        Y, S = X / lam, T / tau
+        return Y - np.outer(S, C), S
+
+    def velocity(X, T):
+        return amp * (base.velocity(*pull(X, T)) + C)
+
+    def jet(X, T):
+        j = base.velocity_jet(*pull(X, T))
+        value, dt = j.value + C, j.dt - np.einsum("nij,j->ni", j.jacobian, C)
+        return {"value": amp * value, "jacobian": j.jacobian / tau,
+                "laplacian": j.laplacian / (lam * tau), "dt": (lam / tau**2) * dt}
+
+    def jacobian(X, T):
+        return base.velocity_jacobian(*pull(X, T)) / tau
+
+    def pressure_gradient(X, T):
+        return (lam / tau**2) * base.pressure_gradient(*pull(X, T))
+
+    return velocity, jet, jacobian, pressure_gradient
+
+
+def _old_linear3d_velocity(sol, f, params, X, T):
+    C = np.asarray(sol.metadata["params"]["C"])
+    fv = np.asarray(compile_real(parse(f, "t"), params)(T))
+    return (fv[:, None] if fv.ndim else fv) * (X @ C)
+
+
+SHEAR_C = [[0.5, 0.3, -0.2], [0.3, -1.1, 0.4], [-0.2, 0.4, 0.6]]  # symmetric, trace free
+
+
+class TestColumnEvaluatorParity:
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_half_space_off_origin(self, n):
+        x0 = (0.3, -0.2, 0.1)
+        sol = preset("ex_6_1", {"x0": list(x0)})
+        X, T = _samples(sol, n, seed=5)
+        ref = _halfspace_reference(X, T, 1.0, 1.0, 0.0, x0, 1.0)
+        jet = sol.velocity_jet(X, T)
+        assert _bits(sol.velocity(X, T)) == _bits(ref["value"])
+        for part in ("value", "jacobian", "laplacian", "dt"):
+            assert _bits(getattr(jet, part)) == _bits(ref[part]), part
+        assert _bits(sol.pressure_gradient(X, T)) == _bits(ref["pressure_gradient"])
+        assert _bits(sol.pressure_value(X, T)) == _bits(ref["pressure_value"])
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_boosted_then_rescaled_vortex(self, n):
+        C, lam, tau = np.array([0.7, -1.3]), 1.4, 0.8
+        base = ij_vortex("1 + t/2", "1/(1+r^2)^2", exclusion_radius=0.2)
+        sol = apply_transform(apply_transform(base, TransformSpec.boost(C)),
+                              TransformSpec.rescale(lam, tau))
+        X, T = _samples(sol, n, seed=6)
+        velocity, jet, jacobian, pressure_gradient = _old_boost_rescale(base, C, lam, tau)
+        assert _bits(sol.velocity(X, T)) == _bits(velocity(X, T))
+        got, ref = sol.velocity_jet(X, T), jet(X, T)
+        for part in ("value", "jacobian", "laplacian", "dt"):
+            assert _bits(getattr(got, part)) == _bits(ref[part]), part
+        assert _bits(sol.velocity_jacobian(X, T)) == _bits(jacobian(X, T))
+        assert _bits(sol.pressure_gradient(X, T)) == _bits(pressure_gradient(X, T))
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize("f, params, blowup", [("3/2", {}, None),
+                                                   ("1/(T - t)", {"T": 1.0}, 1.0)])
+    def test_linear_strain_velocity(self, f, params, blowup, n):
+        sol = linear3d(f, np.array(SHEAR_C), params=params, blowup_time=blowup)
+        X, T = _samples(sol, n, seed=7)
+        assert _bits(sol.velocity(X, T)) == _bits(_old_linear3d_velocity(sol, f, params, X, T))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulercert.catalog import ij_vortex, twin_wave
 from eulercert.expressions import Jet2, eval_jet, parse
@@ -15,6 +18,9 @@ from eulercert.fields import (
     SpaceTimePoint,
     pressure_value,
     radial_field_jet,
+    row_max,
+    row_norm,
+    row_sum,
     vorticity,
 )
 from eulercert.verification import SampleRegion, sample_points
@@ -201,3 +207,102 @@ class TestSampling:
         pts = sample_points(region, sol.singular, exclusion_radius=0.3)
         assert any(abs(p.x[1]) < 0.05 for p in pts)
         assert all(math.hypot(*p.x) >= 0.3 for p in pts)
+
+
+# Rows of 2 or 3 floats with the edge values forced in often: signed zeros,
+# subnormals, the extremes that overflow when squared, infinities and NaN.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308,
+               math.inf, -math.inf, math.nan]
+row_arrays = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 40), st.sampled_from([2, 3])),
+    elements=st.one_of(st.floats(width=64), st.sampled_from(EDGE_VALUES)),
+)
+
+
+class TestRowReductions:
+    """The column folds equal numpy's reductions over the short axis (signed
+    zeros compare equal, NaN equals NaN)."""
+
+    @given(A=row_arrays)
+    @settings(max_examples=150, deadline=None)
+    def test_row_sum(self, A):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(row_sum(A), A.sum(axis=1), equal_nan=True)
+
+    @given(A=row_arrays)
+    @settings(max_examples=150, deadline=None)
+    def test_row_norm(self, A):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(row_norm(A), np.linalg.norm(A, axis=1), equal_nan=True)
+
+    @given(A=row_arrays)
+    @settings(max_examples=150, deadline=None)
+    def test_row_max(self, A):
+        assert np.array_equal(row_max(A), A.max(axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_any_layout_and_input_unchanged(self, layout):
+        A = np.random.default_rng(3).standard_normal((50, 3))
+        if layout == "F":
+            A = np.asfortranarray(A)
+        elif layout == "strided":
+            A = A[::2]
+        before = A.copy()
+        assert row_sum(A).tobytes() == A.sum(axis=1).tobytes()
+        assert row_norm(A).tobytes() == np.linalg.norm(A, axis=1).tobytes()
+        assert row_max(A).tobytes() == A.max(axis=1).tobytes()
+        assert np.array_equal(A, before)
+
+
+def _points(n, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 3.0, (n, dim)), rng.uniform(0.0, 2.0, n)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+MOVING_POINTS = {
+    "static": MovingPoint((0.4, -0.3), (0.0, 0.0)),
+    "moving": MovingPoint((0.4, -0.3), (1.1, -0.6)),
+    "moving_3d": MovingPoint((0.4, -0.3, 0.2), (1.1, -0.6, 0.25)),
+    "boosted": MovingPoint((0.4, -0.3), (1.1, -0.6)).boosted((0.7, -1.3)),
+    "rotated": MovingPoint((0.4, -0.3), (1.1, -0.6)).rotated(_rotation(0.8)),
+    "rescaled": MovingPoint((0.4, -0.3), (1.1, -0.6)).rescaled(1.7, 0.6),
+}
+
+HALF_SPACES = {
+    "shifted": HalfSpaceBoundary((0.3, -0.2, 0.1)),
+    "boosted": HalfSpaceBoundary((0.3, -0.2, 0.1)).boosted((0.2, -0.1, 0.3)),
+    "boosted_rescaled": HalfSpaceBoundary((0.3, -0.2, 0.1)).boosted((0.2, -0.1, 0.3))
+                                                          .rescaled(1.5, 2.0),
+}
+
+
+class TestPrimitiveParity:
+    """The per-column distances equal the broadcast expressions they replaced,
+    bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize("case", sorted(MOVING_POINTS))
+    def test_moving_point_distance(self, case, n):
+        p = MOVING_POINTS[case]
+        X, T = _points(n, len(p.pos0))
+        center = np.asarray(p.pos0) + np.outer(T, np.asarray(p.vel))
+        assert _bits(p.distance(X, T)) == _bits(np.linalg.norm(X - center, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize("case", sorted(HALF_SPACES))
+    def test_half_space_distance_and_exclusion(self, case, n):
+        b = HALF_SPACES[case]
+        X, T = _points(n, 3, seed=1)
+        s = np.sum(X - (np.asarray(b.x0) + np.outer(T, np.asarray(b.vel))), axis=1)
+        assert _bits(b.distance(X, T)) == _bits(np.abs(s) / math.sqrt(3))
+        for radius in (0.01, 0.5):
+            assert np.array_equal(b.excludes(X, T, radius), s / math.sqrt(3) < radius)

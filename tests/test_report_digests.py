@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from eulercert.catalog import preset, preset_ids
+from eulercert.catalog import TransformSpec, apply_transform, preset, preset_ids
 from eulercert.verification import certify, default_region
 
 REPORT_SHA256 = {
@@ -39,3 +39,34 @@ def test_report_bytes_unchanged(pid):
     report = certify(sol, default_region(sol, count=2000, seed=0))
     data = (json.dumps(report.to_dict(), indent=2) + "\n").encode()
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[pid]
+
+
+def _boosted(sol, *C):
+    return apply_transform(sol, TransformSpec.boost(C))
+
+
+# Paths no preset takes: a shifted half-space, a three-column boost, a boost
+# of the half-space followed by a rescale, and a planar boost off the axes.
+# Recorded before the point offsets and row sums moved to column folds.
+OFF_PRESET = {
+    "ex_6_1_x0": lambda: preset("ex_6_1", {"x0": [0.3, -0.2, 0.1]}),
+    "ex_5_1_blowup_boosted": lambda: _boosted(preset("ex_5_1_blowup"), 0.4, -0.7, 0.25),
+    "ex_6_1_boosted_rescaled": lambda: apply_transform(
+        _boosted(preset("ex_6_1"), 0.2, -0.1, 0.3), TransformSpec.rescale(1.5, 2.0)),
+    "ex_2_5_boosted": lambda: _boosted(preset("ex_2_5"), 0.7, -1.3),
+}
+
+OFF_PRESET_SHA256 = {
+    "ex_6_1_x0": "4f9e72961271515b51cd209b35aad4049e2ce083301b223c5ad6ddd53fc68d40",
+    "ex_5_1_blowup_boosted": "0831cf36d2a69c6925994f3ea7da5f0695ffa7597e9e78ae279a21f2bac214cf",
+    "ex_6_1_boosted_rescaled": "29234376687cea0b80474a82067a8d0aff3c636bd54208a6e2b3e2062b58e682",
+    "ex_2_5_boosted": "9a79d54d0fd0689a4cc45b5bf7aa2c2d26036090c4e3692d0cb9c0cd2e6d93c1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_PRESET_SHA256))
+def test_off_preset_report_bytes_unchanged(case):
+    sol = OFF_PRESET[case]()
+    report = certify(sol, default_region(sol, count=2000, seed=0))
+    data = (json.dumps(report.to_dict(), indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == OFF_PRESET_SHA256[case]
