@@ -80,8 +80,9 @@ class SampleRegion:
     exclusion_radius: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.count, numbers.Integral):
-            raise RegionError(f"sample count must be an integer, got {self.count!r}")
+        for name, value in (("sample count", self.count), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RegionError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise RegionError("sample count must be >= 1")
         for lo, hi in self.box:
@@ -391,8 +392,11 @@ def fd_crosscheck(sol: SolutionPair, point: SpaceTimePoint, h: Optional[float] =
 
     With an explicit ``h`` the first-derivative stencils use that step and
     the second-derivative stencils ten times it; the stencil must stay
-    admissible.  Without it the clearance-capped default policy applies.
+    admissible, and ``h`` must be finite and > 0.  Without it the
+    clearance-capped default policy applies.
     """
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise FieldError(f"finite-difference step must be finite and > 0, got {h}")
     sol.check_admissible(point)
     X, T = point.arrays()
     if h is None:

@@ -137,6 +137,13 @@ class TestFdCrosscheck:
         bad = replace(sol, velocity_jet=mutated)
         assert fd_crosscheck(bad, pt(0.0, 1.0)) >= 1e-3
 
+    @pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # a negative step would make the admissibility guard vacuous: at
+        # (0.5, 0) a stencil of step -0.05 reaches r = 0
+        with pytest.raises(FieldError, match="step"):
+            fd_crosscheck(preset("ex_2_5"), pt(0.5, 0.0, t=0.5), h=h)
+
     def test_stencil_admissibility_guard(self):
         sol = preset("ex_2_5")  # exclusion radius 0.3
         p = pt(0.35, 0.0, t=0.5)
@@ -348,6 +355,21 @@ class TestRegionValidation:
         # the block sampler stops at exactly ``count`` points, so it must be whole
         with pytest.raises(RegionError, match="integer"):
             SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0), count=2.5)
+
+    @pytest.mark.parametrize("count", [True, False])
+    def test_bool_count_rejected(self, count):
+        with pytest.raises(RegionError, match="sample count must be an integer"):
+            SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0), count=count)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(RegionError, match="seed must be an integer"):
+            SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0), count=5, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        region = SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
+                              count=5, seed=np.int64(7))
+        assert region.seed == 7
 
     def test_positive_radius_accepted(self):
         region = SampleRegion(box=((0.0, 1.0), (0.0, 1.0)), time=(0.0, 1.0),
