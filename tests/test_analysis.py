@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulercert import catalog
+from eulercert import analysis, catalog
 from eulercert.analysis import (
     DEFAULT_PROBE_REGION,
     NormSpec,
@@ -19,7 +21,7 @@ from eulercert.analysis import (
     twin_wave_form_check,
 )
 from eulercert.catalog import TransformSpec, apply_transform, ij_vortex, preset, twin_wave
-from eulercert.expressions import parse
+from eulercert.expressions import ExpressionError, parse
 from eulercert.fields import FieldError
 from eulercert.verification import SampleRegion, _fd_panel, _sample_arrays
 
@@ -206,6 +208,86 @@ class TestPlanarEnergy:
         res = l2_energy_difference(sol, (5.0, -3.0))
         assert res.value is None
         assert "divergent or unknown" in res.diagnosis
+
+    # recorded with scipy.integrate.quad behind the energy; repr must not move
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_ex_3_2_energy_is_pinned(self, t):
+        res = l2_energy_difference(preset("ex_3_2"), (1.0, 1.0), t=t)
+        assert (repr(res.value), repr(res.tail_bound)) == ("0.5235987755967281",
+                                                           "1.5707963267948965e-12")
+
+    @pytest.mark.parametrize("build, t, value", [
+        (lambda: preset("ex_3_2", {"C": (0.5, -2.0)}), 0.7, "0.5235987755967281"),
+        (lambda: apply_transform(preset("ex_3_2"), TransformSpec.rotation(0.7)), 0.4,
+         "0.5235987755967281"),
+        (lambda: apply_transform(preset("ex_3_2"), TransformSpec.rescale(2.0, 0.5)), 0.4,
+         "33.51032163668265"),
+        (lambda: apply_transform(preset("ex_3_2"), TransformSpec.rescale(0.3, 3.0)), 0.4,
+         "0.0004712388980384574"),
+    ], ids=["C", "rotated", "rescaled-up", "rescaled-down"])
+    def test_transformed_energy_is_pinned(self, build, t, value):
+        sol = build()
+        assert repr(l2_energy_difference(sol, sol.metadata["boost_total"], t=t).value) == value
+
+
+def _ex_3_2_forms():
+    base = preset("ex_3_2")
+    rotated = apply_transform(base, TransformSpec.rotation(0.7))
+    return {"ex_3_2": base, "rotated": rotated,
+            "rescaled": apply_transform(base, TransformSpec.rescale(2.0, 0.5)),
+            "rotated-rescaled": apply_transform(rotated, TransformSpec.rescale(0.3, 3.0))}
+
+
+EX_3_2_FORMS = _ex_3_2_forms()
+
+
+class TestEnergyIntegrand:
+    """The energy evaluates the radial speed on a whole panel of radii and
+    squares each value with Python's float ** 2 (libm pow): both must give
+    what one scalar evaluation and float ** 2 gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(form=st.sampled_from(sorted(EX_3_2_FORMS)),
+           rs=st.lists(st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+                       min_size=1, max_size=42),
+           t=st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5]))
+    def test_array_speed_equals_scalar_speed(self, form, rs, t):
+        speed = EX_3_2_FORMS[form].metadata["radial_speed"]
+
+        def outcome(r):
+            try:
+                return [float(v).hex() for v in np.atleast_1d(speed(r, t)).tolist()]
+            except ExpressionError as e:
+                return str(e)
+
+        with np.errstate(all="ignore"):
+            whole = outcome(np.array(rs))
+            each = [outcome(r) for r in rs]
+        if isinstance(whole, str):  # r * r underflowed: a point raised, as alone
+            assert whole in each
+        else:
+            assert whole == [v for (v,) in each]
+
+    def test_values_are_squared_with_pow(self, monkeypatch):
+        captured = []
+
+        def capture(func, a, b, **opts):
+            captured.append(func)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(analysis, "quad", capture)
+        sol = preset("ex_3_2")
+        l2_energy_difference(sol, (1.0, 1.0), t=0.3)
+        speed = sol.metadata["radial_speed"]
+        r = np.random.default_rng(0).uniform(0.0, 20.0, 20000)
+        s = speed(r, 0.3).tolist()
+        # radii where x * x (or numpy's ** 2) would move the integrand's last bit
+        hits = [x for x, v in zip(r.tolist(), s)
+                if 2.0 * math.pi * x * v ** 2 != 2.0 * math.pi * x * (v * v)]
+        if not hits:
+            pytest.skip("this libm's pow(x, 2) rounds like x * x on every sample")
+        want = [2.0 * math.pi * x * float(speed(x, 0.3)) ** 2 for x in hits]
+        assert list(captured[0](np.array(hits))) == want
 
 
 class TestBlowupFit:

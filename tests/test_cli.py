@@ -566,8 +566,22 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    # Start-up cost: jsonschema is loaded by spec files only, scipy by the
-    # norm and energy paths only, numpy.polynomial by quadrature only.
+    # Start-up cost: jsonschema is loaded by spec files only, numpy.polynomial
+    # by catalog.quad only, and no command loads scipy.
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["certify", "ex_3_10", "--samples", "200"],
+        ["grid-dump", "ex_3_2", "--nx", "4", "--nt", "2"],
+        ["blowup", "ex_2_6"],
+        ["probe", "--mode", "affine", "--v1", "x", "--v2", "x"],
+        ["norm", "ex_3_2", "--subtract-boost"],
+    ], ids=lambda a: a[0])
+    def test_command_loads_no_heavy_module(self, argv):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0
+        assert loaded["heavy"] == []
+
+    # Only the planar energy integrates with QUADPACK's qagse.
     @pytest.mark.parametrize("argv", [
         ["list"],
         ["certify", "ex_3_10", "--samples", "200"],
@@ -575,13 +589,17 @@ class TestImports:
         ["blowup", "ex_2_6"],
         ["probe", "--mode", "affine", "--v1", "x", "--v2", "x"],
     ], ids=lambda a: a[0])
-    def test_command_loads_no_heavy_module(self, argv):
+    def test_command_does_not_load_quadpack(self, argv):
         loaded = _modules_after(argv)
         assert loaded["code"] == 0
-        assert loaded["heavy"] == []
+        assert not loaded["quadpack"]
 
-    # The radial annulus norm and the lq blow-up fit run on catalog.quad;
-    # only the planar energy still loads scipy.
+    def test_planar_energy_loads_quadpack(self):
+        loaded = _modules_after(["norm", "ex_3_2", "--subtract-boost"])
+        assert json.loads(loaded["stdout"])["value"] == 0.5235987755967281
+        assert loaded["quadpack"]
+
+    # The radial annulus norm and the lq blow-up fit run on catalog.quad.
     @pytest.mark.parametrize("argv", [
         ["blowup", "ex_2_6", "--norm", "lq"],
         ["norm", "ex_2_5", "--delta", "1", "--R", "2"],
@@ -612,13 +630,14 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
 heavy = [m for m in ("jsonschema", "numpy.polynomial", "scipy") if m in sys.modules]
 print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-                  "heavy": heavy}))
+                  "heavy": heavy, "quadpack": "eulercert.quadpack" in sys.modules}))
 """
 
 
 def _modules_after(argv):
     """Run ``cli.main(argv)`` in a fresh process; its exit code, its output,
-    and which of jsonschema, numpy.polynomial and scipy it loaded."""
+    which of jsonschema, numpy.polynomial and scipy it loaded, and whether it
+    loaded eulercert.quadpack."""
     import eulercert
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
