@@ -508,8 +508,11 @@ def linear3d(
     C2 = C @ C
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(C))))
 
-    def _f_jet(T):
-        return eval_jet(f_ast, Jet2.variable(T), params)
+    def _f_columns(T, n):
+        """f(t) and f'(t) as (n,) columns."""
+        fj = eval_jet(f_ast, Jet2.variable(T), params)
+        return (np.broadcast_to(np.asarray(fj.value, dtype=float), (n,)),
+                np.broadcast_to(np.asarray(fj.d1, dtype=float), (n,)))
 
     def velocity(X, T):
         fv = np.asarray(f_real(T))
@@ -522,9 +525,7 @@ def linear3d(
 
     def velocity_jet(X, T):
         n = len(X)
-        fj = _f_jet(T)
-        fv = np.broadcast_to(np.asarray(fj.value, dtype=float), (n,))
-        fd = np.broadcast_to(np.asarray(fj.d1, dtype=float), (n,))
+        fv, fd = _f_columns(T, n)
         Cx = X @ C
         value = fv[:, None] * Cx
         jac = fv[:, None, None] * C[None, :, :]
@@ -533,17 +534,11 @@ def linear3d(
         return VelocityJet(value, jac, lap, dt)
 
     def pressure_gradient(X, T):
-        fj = _f_jet(T)
-        n = len(X)
-        fv = np.broadcast_to(np.asarray(fj.value, dtype=float), (n,))
-        fd = np.broadcast_to(np.asarray(fj.d1, dtype=float), (n,))
+        fv, fd = _f_columns(T, len(X))
         return -(fv * fv)[:, None] * (X @ C2) - fd[:, None] * (X @ C)
 
     def pressure_val(X, T):
-        fj = _f_jet(T)
-        n = len(X)
-        fv = np.broadcast_to(np.asarray(fj.value, dtype=float), (n,))
-        fd = np.broadcast_to(np.asarray(fj.d1, dtype=float), (n,))
+        fv, fd = _f_columns(T, len(X))
         Cx = X @ C
         return -0.5 * fv * fv * np.sum(Cx * Cx, axis=1) - 0.5 * fd * np.sum(X * Cx, axis=1)
 
@@ -740,16 +735,15 @@ class TransformSpec:
         raise FieldError(f"unknown transform kind {kind!r}")
 
 
-def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
-          lam: float = 1.0, tau: float = 1.0, Q: Optional[np.ndarray] = None,
-          C: Optional[np.ndarray] = None) -> SolutionPair:
+def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
+          Q: Optional[np.ndarray] = None, C: Optional[np.ndarray] = None) -> SolutionPair:
     """The pair w(x,t) = (lam/tau) Q^T u(Q (x - C t)/lam, t/tau) + C, with
     grad pbar = (lam/tau^2) Q^T grad p and pbar = (lam/tau)^2 p at the same
-    point, viscosity sigma lam^2 / tau and exclusion radius lam r.
+    point, viscosity sigma lam^2 / tau, exclusion radius lam r and the
+    singular set moved by the same map (``SingularSetDescriptor.moved``).
 
-    ``entry`` extends the transform chain; ``singular`` is the mapped
-    singular set.  A factor that is exactly 1, or an absent Q or C, is
-    skipped: the identity changes no bit, and the hot paths skip its work.
+    ``entry`` extends the transform chain.  A factor that is exactly 1, or an
+    absent Q or C, is skipped: no bit changes, and the hot paths skip its work.
     """
     base_v, base_j, base_jac = sol.velocity, sol.velocity_jet, sol.velocity_jacobian
     base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
@@ -834,6 +828,19 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
             base_speed = md["radial_speed"]
             md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam,
                                                                np.asarray(t) / tau)
+        if "boundary_speed" in md:
+            base_boundary = md["boundary_speed"]
+            md["boundary_speed"] = lambda t: amp * base_boundary(t / tau)
+        if "sup_speed_unit_ball" in md:
+            # the unit ball pulls back to the ball of radius 1/lam: 1/lam times the
+            # sup for a field linear in x, as linear3d's (the one family with it)
+            base_ball = md["sup_speed_unit_ball"]
+            md["sup_speed_unit_ball"] = lambda t: amp / lam * base_ball(t / tau)
+        if "decay_envelope" in md:
+            env = md["decay_envelope"]
+            kappa, gain = env["kappa"], amp * lam ** env["power"]
+            md["decay_envelope"] = {**env, "kappa": (lambda t: gain * kappa(t / tau))
+                                    if callable(kappa) else gain * kappa}
     return replace(
         sol,
         velocity=velocity,
@@ -842,7 +849,7 @@ def _step(sol: SolutionPair, entry: dict, singular: SingularSetDescriptor,
         pressure_gradient=pressure_gradient,
         pressure_value=pressure_val if base_pv is not None else None,
         pressure_cut_clearance=cut if base_cut is not None else None,
-        singular=singular,
+        singular=sol.singular.moved(lam, tau, Q, C),
         metadata=md,
         **scaled_fields,
     )
@@ -862,18 +869,15 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
         C = np.asarray(tr.velocity, dtype=float)
         if len(C) != sol.dimension:
             raise FieldError("boost velocity dimension must match the solution dimension")
-        return _step(sol, {"kind": "boost", "velocity": list(map(float, C))},
-                     sol.singular.mapped(lambda p: p.boosted(C)), C=C)
+        return _step(sol, {"kind": "boost", "velocity": list(map(float, C))}, C=C)
     if tr.kind == "rotation":
         if sol.dimension != 2:
             raise FieldError("rotation is only defined for 2D solutions")
         ca, sa = math.cos(tr.angle), math.sin(tr.angle)
         Q = np.array([[ca, -sa], [sa, ca]])
-        return _step(sol, {"kind": "rotation", "angle": float(tr.angle)},
-                     sol.singular.mapped(lambda p: p.rotated(Q)), Q=Q)
+        return _step(sol, {"kind": "rotation", "angle": float(tr.angle)}, Q=Q)
     if tr.kind == "rescale":
         return _step(sol, {"kind": "rescale", "lam": float(tr.lam), "tau": float(tr.tau)},
-                     sol.singular.mapped(lambda p: p.rescaled(tr.lam, tr.tau)),
                      lam=tr.lam, tau=tr.tau)
     raise FieldError(f"unknown transform kind {tr.kind!r}")
 

@@ -191,9 +191,19 @@ def row_max(A: np.ndarray) -> np.ndarray:
 # Singular-set primitives
 #
 # Each primitive reports a nonnegative distance that is exactly zero on its
-# own locus, answers whether a point must be excluded at a given radius,
-# and knows how it maps under the solution transforms.
+# own locus, answers whether a point must be excluded at a given radius, and
+# moves with its field: ``moved`` maps it by x -> lam Q^T x + C t, t -> tau t.
 # ---------------------------------------------------------------------------
+
+
+def _moved_origin(pos, vel, lam, tau, Q, C):
+    """``moved`` for the origin pos + vel t; an absent Q or C is skipped."""
+    if Q is not None:
+        pos, vel = Q.T @ np.asarray(pos), Q.T @ np.asarray(vel)
+    vel = tuple(lam * v / tau for v in vel)
+    if C is not None:
+        vel = tuple(v + c for v, c in zip(vel, C))
+    return tuple(lam * p for p in pos), vel
 
 
 @dataclass(frozen=True)
@@ -213,14 +223,8 @@ class MovingPoint:
     def excludes(self, X, T, radius):
         return self.distance(X, T) < radius
 
-    def boosted(self, C):
-        return MovingPoint(self.pos0, tuple(v + c for v, c in zip(self.vel, C)))
-
-    def rotated(self, Q):
-        return MovingPoint(tuple(Q.T @ np.asarray(self.pos0)), tuple(Q.T @ np.asarray(self.vel)))
-
-    def rescaled(self, lam, tau):
-        return MovingPoint(tuple(lam * p for p in self.pos0), tuple(lam * v / tau for v in self.vel))
+    def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
+        return MovingPoint(*_moved_origin(self.pos0, self.vel, lam, tau, Q, C))
 
     def describe(self):
         if all(v == 0.0 for v in self.vel):
@@ -251,14 +255,10 @@ class MovingLine:
     def excludes(self, X, T, radius):
         return self.distance(X, T) < radius
 
-    def boosted(self, C):
-        return MovingLine(self.normal, self.b0, self.b1 + float(np.dot(self.normal, C)))
-
-    def rotated(self, Q):
-        return MovingLine(tuple(Q.T @ np.asarray(self.normal)), self.b0, self.b1)
-
-    def rescaled(self, lam, tau):
-        return MovingLine(self.normal, lam * self.b0, lam * self.b1 / tau)
+    def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
+        normal = self.normal if Q is None else tuple(Q.T @ np.asarray(self.normal))
+        b1 = lam * self.b1 / tau
+        return MovingLine(normal, lam * self.b0, b1 if C is None else b1 + float(np.dot(normal, C)))
 
     def describe(self):
         n = tuple(round(v, 12) for v in self.normal)
@@ -279,13 +279,7 @@ class BlowupTime:
     def excludes(self, X, T, radius):
         return (self.T - T) < radius
 
-    def boosted(self, C):
-        return self
-
-    def rotated(self, Q):
-        return self
-
-    def rescaled(self, lam, tau):
+    def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         return BlowupTime(tau * self.T)
 
     def describe(self):
@@ -317,14 +311,10 @@ class HalfSpaceBoundary:
     def excludes(self, X, T, radius):
         return self._s(X, T) / math.sqrt(len(self.x0)) < radius
 
-    def boosted(self, C):
-        return HalfSpaceBoundary(self.x0, tuple(v + c for v, c in zip(self.vel, C)))
-
-    def rotated(self, Q):
-        raise FieldError("rotation is only defined for 2D solutions")
-
-    def rescaled(self, lam, tau):
-        return HalfSpaceBoundary(tuple(lam * p for p in self.x0), tuple(lam * v / tau for v in self.vel))
+    def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
+        if Q is not None:
+            raise FieldError("rotation is only defined for 2D solutions")
+        return HalfSpaceBoundary(*_moved_origin(self.x0, self.vel, lam, tau, None, C))
 
     def describe(self):
         return f"half-space boundary s = 0 about x0 = {self.x0}"
@@ -358,11 +348,10 @@ class SingularSetDescriptor:
         times = [p.T for p in self.primitives if isinstance(p, BlowupTime)]
         return min(times) if times else None
 
-    def mapped(self, move) -> "SingularSetDescriptor":
-        """The set with every primitive p replaced by ``move(p)``, its image
-        under a transform."""
-        return SingularSetDescriptor(tuple(map(move, self.primitives)),
-                                     tuple(map(move, self.pressure_cut)))
+    def moved(self, lam=1.0, tau=1.0, Q=None, C=None) -> "SingularSetDescriptor":
+        """The set with every primitive moved by the same transform."""
+        return SingularSetDescriptor(tuple(p.moved(lam, tau, Q, C) for p in self.primitives),
+                                     tuple(p.moved(lam, tau, Q, C) for p in self.pressure_cut))
 
     def describe(self) -> str:
         if not self.primitives and not self.pressure_cut:
@@ -421,12 +410,6 @@ class SolutionPair:
         self.check_admissible(point)
         X, T = point.arrays()
         return self.velocity(X, T)[0]
-
-    def velocity_jet_at(self, point: SpaceTimePoint) -> VelocityJet:
-        self.check_admissible(point)
-        X, T = point.arrays()
-        jet = self.velocity_jet(X, T)
-        return VelocityJet(jet.value[0], jet.jacobian[0], jet.laplacian[0], jet.dt[0])
 
     def pressure_gradient_at(self, point: SpaceTimePoint) -> np.ndarray:
         self.check_admissible(point)

@@ -50,6 +50,13 @@ class TestAnnulusNorm:
         assert abs(res.value_pow_q - 2.0 * math.pi) <= 1e-6 * (1.0 + 2.0 * math.pi)
         assert "tail" in res.provenance
 
+    def test_rescaled_exact_tail(self):
+        # under rescale(2, 0.5), |w| = (lam/tau) |t/tau - 1| lam / r = 4.8 / r at
+        # t = 0.2, so the cubed norm over r > 1 is 2 pi 4.8^3
+        sol = apply_transform(preset("ex_2_5"), TransformSpec.rescale(2.0, 0.5))
+        res = annulus_lq_norm(sol, NormSpec(q=3, delta=1.0, R=math.inf, t=0.2))
+        assert res.value_pow_q == pytest.approx(2.0 * math.pi * 4.8**3, rel=1e-12)
+
     def test_zero_field_at_critical_time(self):
         sol = preset("ex_2_5")
         res = annulus_lq_norm(sol, NormSpec(q=2, delta=0.7, R=5.0, t=1.0))
@@ -229,6 +236,13 @@ class TestPlanarEnergy:
         sol = build()
         assert repr(l2_energy_difference(sol, sol.metadata["boost_total"], t=t).value) == value
 
+    def test_rescaled_tail_bound(self):
+        # rescale(2, 0.5) maps the envelope 1/r^3 to (lam/tau) lam^3 / r^3 = 32/r^3,
+        # so the bound on the squared tail grows by 32^2
+        sol = apply_transform(preset("ex_3_2"), TransformSpec.rescale(2.0, 0.5))
+        res = l2_energy_difference(sol, sol.metadata["boost_total"], t=0.4)
+        assert res.tail_bound == pytest.approx(32.0**2 * 1.5707963267948965e-12, rel=1e-12)
+
 
 def _ex_3_2_forms():
     base = preset("ex_3_2")
@@ -306,6 +320,17 @@ class TestBlowupFit:
     def test_linear_amplitude_rate(self):
         fit = blowup_exponent_fit(preset("ex_5_1_blowup"))
         assert fit.exponent == pytest.approx(-1.0, abs=1e-10)
+        assert fit.residual_rms <= 1e-3
+
+    @pytest.mark.parametrize("pid, lam, tau, alpha", [
+        ("ex_6_1", 1.0, 2.0, -0.5),
+        ("ex_6_1", 2.0, 0.5, -0.5),
+        ("ex_5_1_blowup", 2.0, 0.5, -1.0),
+    ])
+    def test_rescaled_rate(self, pid, lam, tau, alpha):
+        fit = blowup_exponent_fit(apply_transform(preset(pid), TransformSpec.rescale(lam, tau)))
+        assert fit.blowup_time == tau
+        assert fit.exponent == pytest.approx(alpha, abs=1e-10)
         assert fit.residual_rms <= 1e-3
 
     def test_small_k_bias_of_impure_law(self):

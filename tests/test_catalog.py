@@ -214,6 +214,22 @@ class TestTransforms:
         with pytest.raises(FieldError):
             apply_transform(preset("ex_2_5"), TransformSpec.boost((1.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("lam, tau", [(2.0, 0.5), (1.0, 2.0), (0.3, 3.0)])
+    def test_rescaled_boundary_speed_is_the_speed_on_the_boundary(self, lam, tau):
+        sol = apply_transform(preset("ex_6_1"), TransformSpec.rescale(lam, tau))
+        X = np.array([[0.3, -0.1, -0.2], [1.0, 0.5, -1.5]])  # s = 0
+        for t in (0.1, 0.4 * tau, 0.9 * tau):
+            speed = np.linalg.norm(sol.velocity(X, np.full(2, t)), axis=1)
+            np.testing.assert_allclose(speed, sol.metadata["boundary_speed"](t), rtol=1e-12)
+
+    @pytest.mark.parametrize("lam, tau", [(2.0, 0.5), (1.0, 2.0), (0.3, 3.0)])
+    def test_rescaled_unit_ball_sup_is_the_speed_on_the_stretching_axis(self, lam, tau):
+        # C = diag(1, 1, -2): on the unit ball |u| peaks at x = e3
+        sol = apply_transform(preset("ex_5_1_blowup"), TransformSpec.rescale(lam, tau))
+        for t in (0.1, 0.4 * tau, 0.9 * tau):
+            speed = np.linalg.norm(sol.velocity(np.array([[0.0, 0.0, 1.0]]), np.array([t])))
+            assert speed == pytest.approx(sol.metadata["sup_speed_unit_ball"](t), rel=1e-12)
+
 
 class TestPresets:
     def test_nine_presets(self):

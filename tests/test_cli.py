@@ -180,6 +180,20 @@ class TestBlowup:
         assert abs(doc["alpha"] + 0.5) <= 0.01
         assert doc["regression_residual_rms"] <= 1e-3
 
+    @pytest.mark.parametrize("tau", [2, 3])
+    def test_rescaled_halfspace_exponent(self, tmp_path, capsys, tau):
+        # the boundary speed must move with the rescale: read at the base
+        # blow-up time it divided by zero (tau = 2) or took the root of a
+        # negative number (tau = 3)
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "preset", "preset": "ex_6_1",
+                                 "transforms": [{"kind": "rescale", "lam": 1, "tau": tau}]}))
+        code, out, _ = run(capsys, "blowup", str(p), "--norm", "sup")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["blowup_time"] == tau
+        assert doc["alpha"] == pytest.approx(-0.5, abs=1e-10)
+
     def test_global_solution_reports_no_blowup(self, capsys):
         code, out, _ = run(capsys, "blowup", "ex_3_2")
         assert code == 1

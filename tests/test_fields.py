@@ -194,7 +194,7 @@ class TestSingularPrimitives:
         assert bool(ex[0]) and not bool(ex[1])
 
     def test_boosted_line_follows_frame(self):
-        line = MovingLine((0.0, 1.0), 0.0, 0.0).boosted(np.array([0.0, 2.0]))
+        line = MovingLine((0.0, 1.0), 0.0, 0.0).moved(C=np.array([0.0, 2.0]))
         # locus x2 = 2t
         X = np.array([[5.0, 1.0]])
         assert line.distance(X, np.array([0.5]))[0] == 0.0
@@ -274,16 +274,16 @@ MOVING_POINTS = {
     "static": MovingPoint((0.4, -0.3), (0.0, 0.0)),
     "moving": MovingPoint((0.4, -0.3), (1.1, -0.6)),
     "moving_3d": MovingPoint((0.4, -0.3, 0.2), (1.1, -0.6, 0.25)),
-    "boosted": MovingPoint((0.4, -0.3), (1.1, -0.6)).boosted((0.7, -1.3)),
-    "rotated": MovingPoint((0.4, -0.3), (1.1, -0.6)).rotated(_rotation(0.8)),
-    "rescaled": MovingPoint((0.4, -0.3), (1.1, -0.6)).rescaled(1.7, 0.6),
+    "boosted": MovingPoint((0.4, -0.3), (1.1, -0.6)).moved(C=(0.7, -1.3)),
+    "rotated": MovingPoint((0.4, -0.3), (1.1, -0.6)).moved(Q=_rotation(0.8)),
+    "rescaled": MovingPoint((0.4, -0.3), (1.1, -0.6)).moved(1.7, 0.6),
 }
 
 HALF_SPACES = {
     "shifted": HalfSpaceBoundary((0.3, -0.2, 0.1)),
-    "boosted": HalfSpaceBoundary((0.3, -0.2, 0.1)).boosted((0.2, -0.1, 0.3)),
-    "boosted_rescaled": HalfSpaceBoundary((0.3, -0.2, 0.1)).boosted((0.2, -0.1, 0.3))
-                                                          .rescaled(1.5, 2.0),
+    "boosted": HalfSpaceBoundary((0.3, -0.2, 0.1)).moved(C=(0.2, -0.1, 0.3)),
+    "boosted_rescaled": HalfSpaceBoundary((0.3, -0.2, 0.1)).moved(C=(0.2, -0.1, 0.3))
+                                                          .moved(1.5, 2.0),
 }
 
 
@@ -308,6 +308,53 @@ class TestPrimitiveParity:
         assert _bits(b.distance(X, T)) == _bits(np.abs(s) / math.sqrt(3))
         for radius in (0.01, 0.5):
             assert np.array_equal(b.excludes(X, T, radius), s / math.sqrt(3) < radius)
+
+
+# name: (primitive, dimension of its points)
+PRIMITIVES = {
+    "point": (MovingPoint((0.4, -0.3), (1.1, -0.6)), 2),
+    "point_3d": (MovingPoint((0.4, -0.3, 0.2), (1.1, -0.6, 0.25)), 3),
+    "line": (MovingLine((1.0, 2.0), 0.5, -0.7), 2),
+    "blowup": (BlowupTime(1.5), 2),
+    "half_space": (HalfSpaceBoundary((0.3, -0.2, 0.1), (0.2, 0.4, -0.3)), 3),
+}
+
+MOVES = {
+    "boost": {"C": (0.7, -1.3, 0.45)},
+    "rotation": {"Q": _rotation(0.8)},
+    "rescale": {"lam": 1.7, "tau": 0.6},
+    "boost_rescale": {"lam": 1.7, "tau": 0.6, "C": (0.7, -1.3, 0.45)},
+    "chain": {"lam": 1.7, "tau": 0.6, "Q": _rotation(0.8), "C": (0.7, -1.3, 0.45)},
+}
+
+# rotations are planar, so they move only the 2D primitives
+EQUIVARIANCE_CASES = [(case, move) for case in sorted(PRIMITIVES) for move in sorted(MOVES)
+                      if PRIMITIVES[case][1] == 2 or "Q" not in MOVES[move]]
+
+
+class TestMovedEquivariance:
+    """A moved primitive is the image of its locus under the field's map
+    x -> lam Q^T x + C t, t -> tau t: its distance at (X, T) is lam times the
+    base distance at the pulled-back points (Q (X - C T)/lam, T/tau), and tau
+    times it for a blow-up time."""
+
+    @pytest.mark.parametrize("case, move", EQUIVARIANCE_CASES)
+    def test_distance_is_pulled_back(self, case, move):
+        p, dim = PRIMITIVES[case]
+        kw = dict(MOVES[move])
+        lam, tau = kw.get("lam", 1.0), kw.get("tau", 1.0)
+        Q, C = kw.get("Q", np.eye(dim)), np.asarray(kw.get("C", (0.0,) * dim))[:dim]
+        if "C" in kw:
+            kw["C"] = C
+        X, T = _points(500, dim, seed=4)
+        Y = (X - np.outer(T, C)) @ Q.T / lam
+        factor = tau if isinstance(p, BlowupTime) else lam
+        np.testing.assert_allclose(p.moved(**kw).distance(X, T),
+                                   factor * p.distance(Y, T / tau), rtol=1e-12, atol=0.0)
+
+    def test_half_space_rejects_rotation(self):
+        with pytest.raises(FieldError, match="rotation"):
+            PRIMITIVES["half_space"][0].moved(Q=np.eye(3))
 
 
 def _has_glibc_mallopt() -> bool:
