@@ -283,18 +283,34 @@ class FitResult:
     samples: tuple  # ((t_k, norm_k), ...)
 
 
-def _sup_norm_at(sol: SolutionPair, t: float, annulus: tuple) -> float:
-    boundary = sol.metadata.get("boundary_speed")
-    if boundary is not None:
-        return float(boundary(t))
-    unit_ball = sol.metadata.get("sup_speed_unit_ball")
-    if unit_ball is not None:
-        return float(unit_ball(t))
+def _sup_norms(sol: SolutionPair, ts: list, annulus: tuple):
+    """Yield the sup norm at each time of ``ts`` in order, each computed only
+    when the one before it has been read.
+
+    A closed form (``boundary_speed``, else ``sup_speed_unit_ball``) is
+    evaluated one time at a time.  Otherwise the norm is the max of
+    ``radial_speed`` over 4001 equispaced radii of the annulus, a lower bound
+    on the sup.  All times share that grid: each slice of at most
+    ANGULAR_CHUNK points (``catalog._slices``) is one ``speed(r, t)`` call
+    with ``t`` a column.  A slice whose call raises is evaluated again one
+    time at a time, so the earliest failing time raises as it would alone.
+    """
+    closed = sol.metadata.get("boundary_speed") or sol.metadata.get("sup_speed_unit_ball")
+    if closed is not None:
+        yield from (float(closed(t)) for t in ts)
+        return
     speed = sol.metadata.get("radial_speed")
-    if speed is not None:
-        r = np.linspace(annulus[0], annulus[1], 4001)
-        return float(np.max(speed(r, t)))
-    raise FieldError("no sup-norm evaluator is registered for this family")
+    if speed is None:
+        raise FieldError("no sup-norm evaluator is registered for this family")
+    r = np.linspace(annulus[0], annulus[1], 4001)
+    for s in catalog._slices(len(ts), len(r)):
+        t = np.array(ts[s])[:, None]
+        try:
+            block = np.broadcast_to(speed(r, t), (len(t), len(r))).max(axis=1)
+        except Exception:  # only a time alone tells which one failed first
+            yield from (float(np.max(speed(r, t))) for t in ts[s])
+        else:
+            yield from block.tolist()
 
 
 def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> FitResult:
@@ -305,7 +321,7 @@ def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> Fit
         raise FieldError("no blow-up time in singular set")
     ts = [T * (1.0 - 2.0 ** -k) for k in range(1, fit.K + 1)]
     if fit.kind == "sup":
-        norms = (_sup_norm_at(sol, t, fit.annulus) for t in ts)
+        norms = _sup_norms(sol, ts, fit.annulus)
     else:
         spec = NormSpec(q=fit.q, delta=fit.annulus[0], R=fit.annulus[1], t=ts[0])
         speed = _radial_speed(sol, None)

@@ -17,6 +17,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -217,13 +218,28 @@ def _finite_or_null(obj):
     return obj
 
 
+def _write_stdout(text: str):
+    """Write ``text`` to stdout and flush it.  A reader that closed the pipe
+    early (``eulercert list | head -c 10``) is not an input error: the rest
+    of the output is dropped and the command keeps its own exit code, with
+    stdout pointed at os.devnull so that the interpreter's exit flush stays
+    silent."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(doc, out_path):
     text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
 
 def _resolve(spec_arg: str, pressure_sign=None) -> SolutionPair:
@@ -257,11 +273,12 @@ def cmd_list(args) -> int:
         return 0
     w_id = max(len(r["id"]) for r in rows)
     w_fam = max(len(r["family"]) for r in rows)
-    print(f"{'id':{w_id}}  {'family':{w_fam}}  construction / singular set")
-    print("-" * (w_id + w_fam + 40))
+    lines = [f"{'id':{w_id}}  {'family':{w_fam}}  construction / singular set",
+             "-" * (w_id + w_fam + 40)]
     for r in rows:
-        print(f"{r['id']:{w_id}}  {r['family']:{w_fam}}  {r['construction']}")
-        print(f"{'':{w_id}}  {'':{w_fam}}  singular: {r['singular_set']}")
+        lines.append(f"{r['id']:{w_id}}  {r['family']:{w_fam}}  {r['construction']}")
+        lines.append(f"{'':{w_id}}  {'':{w_fam}}  singular: {r['singular_set']}")
+    _write_stdout("\n".join(lines) + "\n")
     return 0
 
 
@@ -449,7 +466,7 @@ def cmd_grid_dump(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0
 
 

@@ -354,6 +354,58 @@ class TestBlowupFit:
             RateFit(K=51)
 
 
+SUP_GRID_CASES = {
+    "ex_2_6": lambda: preset("ex_2_6"),
+    "ex_2_6_T2": lambda: preset("ex_2_6", overrides={"T": 2.0}),
+    "rescaled": lambda: apply_transform(preset("ex_2_6"), TransformSpec.rescale(2.0, 0.5)),
+    "boosted": lambda: apply_transform(preset("ex_2_6"), TransformSpec.boost((1.0, 2.0))),
+    "rotated": lambda: apply_transform(preset("ex_2_6"), TransformSpec.rotation(0.7)),
+    "transcendental": lambda: ij_vortex("exp(t) * cos(t) / (1 - t)",
+                                        "atan(r) + sin(r) * exp(-r) + ln(1 + r^2)",
+                                        blowup_time=1.0),
+}
+
+
+class TestSupFitGrid:
+    """The sup fit evaluates its sample times in slices on one shared radial
+    grid; every norm must equal the max over that grid at its time alone,
+    and the first time whose norm is not finite and positive must fail."""
+
+    @pytest.mark.parametrize("case", sorted(SUP_GRID_CASES))
+    @pytest.mark.parametrize("K", [6, 13, 48, 50])
+    @pytest.mark.parametrize("annulus", [(1.0, 2.0), (0.5, 3.0)])
+    def test_samples_equal_single_time_max(self, case, K, annulus):
+        sol = SUP_GRID_CASES[case]()
+        speed, T = sol.metadata["radial_speed"], sol.singular.blowup_time()
+        r = np.linspace(annulus[0], annulus[1], 4001)
+        want = []
+        for t in (T * (1.0 - 2.0 ** -k) for k in range(1, K + 1)):
+            norm = float(speed(r, t).max())
+            if not (math.isfinite(norm) and norm > 0):
+                # with T = 2, c(1) = 1 cancels h = -1/r^2: u = 0 at the first time
+                with pytest.raises(FieldError, match=f"^norm evaluation failed at t = {t}$"):
+                    blowup_exponent_fit(sol, RateFit(kind="sup", K=K, annulus=annulus))
+                return
+            want.append((t.hex(), norm.hex()))
+        fit = blowup_exponent_fit(sol, RateFit(kind="sup", K=K, annulus=annulus))
+        assert [(t.hex(), n.hex()) for t, n in fit.samples] == want
+
+    def test_zero_speed_at_the_first_time(self):
+        sol = ij_vortex("t - 0.5", "0", blowup_time=1.0)
+        with pytest.raises(FieldError, match=r"^norm evaluation failed at t = 0\.5$"):
+            blowup_exponent_fit(sol)
+
+    def test_earlier_non_finite_norm_wins_over_a_later_domain_error(self):
+        # c is infinite at t = 0.75 and ln's argument negative at t = 0.875,
+        # two sample times in the same slice; the earlier one is reported
+        sol = ij_vortex("exp(1000*t) + ln(0.8 - t)", "0", blowup_time=1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ExpressionError, match="ln requires a positive argument"):
+                sol.metadata["radial_speed"](np.linspace(1.0, 2.0, 4001), 0.875)
+            with pytest.raises(FieldError, match=r"^norm evaluation failed at t = 0\.75$"):
+                blowup_exponent_fit(sol)
+
+
 class TestAffineProbe:
     def test_constant_profiles_solve(self):
         res = affine_probe("3", "5", c1=0.0, c2=1.0)

@@ -659,3 +659,38 @@ def _modules_after(argv):
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _into_closed_pipe(*argv):
+    """Run the CLI in a fresh process whose stdout is a pipe with no reader:
+    the read end is closed before the child starts, so its first write to
+    stdout fails with a broken pipe."""
+    import eulercert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "eulercert.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv, code", [
+        (["list"], 0),
+        (["list", "--format", "json"], 0),
+        (["grid-dump", "ex_3_2", "--nx", "4", "--nt", "1"], 0),
+        (["blowup", "ex_3_2"], 1),  # no blow-up time: a result document and exit 1
+    ], ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+    def test_closed_reader_ends_quietly_with_the_command_code(self, argv, code):
+        proc = _into_closed_pipe(*argv)
+        assert (proc.returncode, proc.stderr) == (code, "")
+
+    def test_unwritable_out_path_is_still_an_input_error(self, tmp_path):
+        proc = _into_closed_pipe("list", "--format", "json",
+                                 "--out", str(tmp_path / "missing" / "list.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

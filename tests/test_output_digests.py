@@ -8,8 +8,12 @@ merged into one each, so a refactor that moves a single rounding step
 fails here.  The NA and 3D grid dumps were recorded before grid-dump
 formatted its finite rows with one format string per row.  The `list`
 output and the spec documents exported for the nine presets were recorded
-before the constructors recorded their own spec parameters.  A change that
-alters these outputs on purpose records new digests and says why.
+before the constructors recorded their own spec parameters.  The `blowup`
+outputs (the sup fit of three presets, at K = 6 and 48, and of ex_2_6
+rescaled by lam = 2, tau = 0.5 from a spec file) were recorded before the
+sup fit evaluated its sample times in slices on one shared radial grid.  A
+change that alters these outputs on purpose records new digests and says
+why.
 """
 
 import hashlib
@@ -46,6 +50,17 @@ CLI = {
     "grid_dump_ex_6_1_3d": ["grid-dump", "ex_6_1", "--nx", "6", "--nt", "2"],
     "list_table": ["list"],
     "list_json": ["list", "--format", "json"],
+    "blowup_ex_2_6": ["blowup", "ex_2_6"],
+    "blowup_ex_2_6_K6": ["blowup", "ex_2_6", "--K", "6"],
+    "blowup_ex_5_1_blowup": ["blowup", "ex_5_1_blowup"],
+    "blowup_ex_6_1": ["blowup", "ex_6_1"],
+    "blowup_ex_2_6_rescaled": ["blowup", "ex_2_6_rescaled.json"],
+}
+
+# spec documents, written to a file whose path replaces their name in a CLI argv
+SPEC_FILES = {
+    "ex_2_6_rescaled.json": {"format_version": 1, "family": "preset", "preset": "ex_2_6",
+                             "transforms": [{"kind": "rescale", "lam": 2.0, "tau": 0.5}]},
 }
 
 TRANSFORMED_SHA256 = {
@@ -72,6 +87,11 @@ CLI_SHA256 = {
     "grid_dump_ex_6_1_3d": "3bfc46cc4b6cb318b23d4dd52d7998f7186588d66d5d1384bafb91067c418116",
     "list_table": "834d17ab999f93c3f80f2e38848a71c2b877a5d7cbba67b2ad52462a413ac197",
     "list_json": "586443104045ea5e2bf6f07cc209ed98dced2f261c64ed8e2ee973ff99c4c54c",
+    "blowup_ex_2_6": "e3f3a1ad2edeb2cfb83b5940b979ae2b29dba444d742235d833d01e010760a41",
+    "blowup_ex_2_6_K6": "1354d262b458dcb419c464f99b959c12ed9b6b1f656808035d3a63a1b74dd76b",
+    "blowup_ex_5_1_blowup": "92482c8cddb955bba1b487171990495a73bee3eca2890ee769f0681740b9fef2",
+    "blowup_ex_6_1": "a64fd0a7708697ef3f502bc9f89228e2936febb4ceb451c76ae6e264c87355bf",
+    "blowup_ex_2_6_rescaled": "344da82b1930703b91239d9b8975f5bdf512e85b1ee0aac534f0e9db795334eb",
 }
 
 # json.dumps(solution_spec_for_preset(pid))
@@ -116,8 +136,10 @@ def test_twin_wave_report_unchanged(key):
 
 
 @pytest.mark.parametrize("key", sorted(CLI_SHA256))
-def test_cli_stdout_unchanged(key, capsys):
-    assert main(CLI[key]) == 0
+def test_cli_stdout_unchanged(key, capsys, tmp_path):
+    for name, doc in SPEC_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main([str(tmp_path / a) if a in SPEC_FILES else a for a in CLI[key]]) == 0
     assert _sha(capsys.readouterr().out) == CLI_SHA256[key]
 
 
