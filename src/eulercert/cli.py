@@ -24,19 +24,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import catalog
-from .analysis import (
-    NormSpec,
-    RateFit,
-    affine_probe,
-    annulus_lq_norm,
-    blowup_exponent_fit,
-    l2_energy_difference,
-    twin_wave_form_check,
-)
 from .catalog import FAMILIES, PRESET_SUMMARIES, TransformSpec, preset, preset_ids
 from .expressions import ExpressionError
 from .fields import FieldError, SolutionPair, row_norm
-from .verification import RegionError, SampleRegion, Tolerances, certify, default_region
 
 __all__ = ["main", "build_solution", "load_spec_file", "solution_spec_for_preset", "SPEC_SCHEMA"]
 
@@ -255,6 +245,10 @@ def _resolve(spec_arg: str, pressure_sign=None) -> SolutionPair:
 # Commands
 # ---------------------------------------------------------------------------
 
+# Each command imports the verification and analysis names it calls when it
+# runs, so that `list` loads neither layer, and so that a tracer wrapping
+# these names sees the calls.
+
 
 def cmd_list(args) -> int:
     rows = []
@@ -283,19 +277,25 @@ def cmd_list(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .verification import SampleRegion, Tolerances, certify, default_region
+
     sol = _resolve(args.spec, args.pressure_sign)
     region = default_region(sol, count=args.samples, seed=args.seed, until=args.until)
     if args.exclusion is not None:
         region = SampleRegion(box=region.box, time=region.time, count=region.count,
                               seed=region.seed, exclusion_radius=args.exclusion)
-    tol = Tolerances(residual=args.tol_residual, divergence=args.tol_div,
-                     fd=args.tol_fd, vorticity=args.tol_vorticity)
+    # only the flags given: the defaults are Tolerances' own
+    given = {"residual": args.tol_residual, "divergence": args.tol_div,
+             "fd": args.tol_fd, "vorticity": args.tol_vorticity}
+    tol = Tolerances(**{k: v for k, v in given.items() if v is not None})
     report = certify(sol, region, tol)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_norm(args) -> int:
+    from .analysis import NormSpec, annulus_lq_norm, l2_energy_difference
+
     sol = _resolve(args.spec)
     subtract = None
     if args.subtract_boost:
@@ -341,6 +341,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .analysis import RateFit, blowup_exponent_fit
+
     sol = _resolve(args.spec)
     if sol.singular.blowup_time() is None:
         _emit({"format_version": 1, "solution": sol.name,
@@ -362,6 +364,9 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .analysis import affine_probe, twin_wave_form_check
+    from .verification import SampleRegion
+
     region = SampleRegion(
         box=((args.box[0], args.box[1]), (args.box[2], args.box[3])),
         time=(0.0, args.tmax), count=args.samples, seed=args.seed,
@@ -404,8 +409,7 @@ def cmd_grid_dump(args) -> int:
     if args.nx < 1 or args.nt < 1:
         raise SpecError(f"--nx and --nt must be >= 1, got {args.nx} and {args.nt}")
 
-    # imported at call time, so that a tracer wrapping these names sees the calls
-    from .verification import _residual_batch, _divergence_batch, _validate_region
+    from .verification import SampleRegion, _divergence_batch, _residual_batch, _validate_region
 
     # the checks certify applies: a finite non-degenerate box and time
     # interval, ending strictly below any blow-up time
@@ -494,11 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="preset id or solution-spec JSON file")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    tol = Tolerances()
-    p.add_argument("--tol-residual", type=float, default=tol.residual)
-    p.add_argument("--tol-div", type=float, default=tol.divergence)
-    p.add_argument("--tol-fd", type=float, default=tol.fd)
-    p.add_argument("--tol-vorticity", type=float, default=tol.vorticity)
+    p.add_argument("--tol-residual", type=float, default=None)
+    p.add_argument("--tol-div", type=float, default=None)
+    p.add_argument("--tol-fd", type=float, default=None)
+    p.add_argument("--tol-vorticity", type=float, default=None)
     p.add_argument("--until", type=float, default=0.9,
                    help="fraction of the blow-up time to certify up to")
     p.add_argument("--exclusion", type=float, default=None,
@@ -563,7 +566,7 @@ def main(argv=None) -> int:
         # refused (a non-finite norm), not left to numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (SpecError, ExpressionError, FieldError, RegionError) as e:
+    except (SpecError, ExpressionError, FieldError) as e:  # FieldError covers RegionError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulercert.cli import (
     SPEC_SCHEMA,
@@ -16,7 +20,7 @@ from eulercert.cli import (
     validate_spec,
 )
 from eulercert.catalog import preset, preset_ids
-from eulercert.verification import certify, default_region
+from eulercert.verification import Tolerances, certify, default_region
 
 
 def run(capsys, *argv):
@@ -111,6 +115,24 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", str(p), "--samples", "500")
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+
+class TestCertifyTolerances:
+    def test_no_flag_gives_the_default_tolerances(self, capsys):
+        code, out, _ = run(capsys, "certify", "ex_3_10", "--samples", "200")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == dataclasses.asdict(Tolerances())
+
+    def test_one_flag_changes_only_its_tolerance(self, capsys):
+        code, out, _ = run(capsys, "certify", "ex_3_10", "--samples", "200", "--tol-fd", "1e-3")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == dataclasses.asdict(Tolerances(fd=1e-3))
+        assert Tolerances().fd != 1e-3
+
+    def test_interval_past_the_blowup_time_is_input_error(self, capsys):
+        code, out, err = run(capsys, "certify", "ex_2_6", "--until", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: time interval must end strictly below the blow-up time 1.0\n"
 
 
 class TestNorm:
@@ -568,16 +590,46 @@ class TestNonFiniteReport:
         assert proc.stderr == ""
 
 
+_TOL_FLAGS = ("--tol-residual", "--tol-div", "--tol-fd", "--tol-vorticity")
+_CERTIFY_ARGV = st.builds(
+    lambda tols, samples, seed: ["certify", "ex_3_10",
+                                 *(f"{flag}={value!r}" for flag, value in tols.items()),
+                                 *samples, *seed],
+    st.dictionaries(st.sampled_from(_TOL_FLAGS),
+                    st.one_of(st.floats(), st.sampled_from([0.0, 1e-12, 1e-3, 1.0])),
+                    max_size=4),
+    st.one_of(st.just([]), st.integers(-2, 3000).map(lambda n: [f"--samples={n}"])),
+    st.one_of(st.just([]), st.integers(-2**64, 2**64).map(lambda n: [f"--seed={n}"])),
+)
+_LIST_ARGV = st.sampled_from(["json", "table", "xml", "JSON", ""]).map(
+    lambda fmt: ["list", f"--format={fmt}"])
+
+
+class TestContract:
+    """Whatever the flags: exit code 0, 1 or 2, no traceback, and stdout
+    either empty (exit 2) or the command's document; the document is strict
+    JSON except for the text table of ``list --format table``."""
+
+    @given(argv=st.one_of(_CERTIFY_ARGV, _LIST_ARGV))
+    @settings(max_examples=25, deadline=None)
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() == "") == (code == 2)
+        if out.getvalue() and argv[-1] != "--format=table":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
-        import eulercert
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
-        code = ("import sys, eulercert, eulercert.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        proc = _fresh_python("import sys, eulercert, eulercert.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.stdout.strip() == "[]"
 
     # Start-up cost: jsonschema is loaded by spec files only, numpy.polynomial
@@ -624,6 +676,38 @@ class TestImports:
         assert json.loads(loaded["stdout"])["format_version"] == 1
         assert "scipy" not in loaded["heavy"] and "jsonschema" not in loaded["heavy"]
 
+    def test_bare_import_loads_no_submodule(self):
+        proc = _fresh_python("import sys, eulercert; "
+                             "print(sorted(m for m in sys.modules if m.startswith('eulercert.')))")
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [["list"], ["list", "--format", "json"]],
+                             ids=lambda a: " ".join(a))
+    def test_list_loads_neither_verification_nor_analysis(self, argv):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0
+        assert loaded["eulercert"] == ["catalog", "cli", "expressions", "fields"]
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "ex_3_10", "--samples", "200"],
+        ["grid-dump", "ex_3_2", "--nx", "4", "--nt", "2"],
+    ], ids=lambda a: a[0])
+    def test_certify_and_grid_dump_do_not_load_analysis(self, argv):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0
+        assert loaded["eulercert"] == ["catalog", "cli", "expressions", "fields", "verification"]
+
+    @pytest.mark.parametrize("argv, key", [
+        (["blowup", "ex_2_6"], "alpha"),
+        (["norm", "ex_2_5", "--delta", "1", "--R", "2"], "value"),
+        (["probe", "--mode", "twinwave", "--u1", "x", "--u2", "x"], "verdict"),
+    ], ids=lambda a: a[0] if isinstance(a, list) else a)
+    def test_analysis_commands_load_their_layers(self, argv, key):
+        loaded = _modules_after(argv)
+        assert loaded["code"] == 0, loaded["stderr"]
+        assert json.loads(loaded["stdout"])[key] is not None
+        assert {"analysis", "verification"} <= set(loaded["eulercert"])
+
     def test_spec_file_still_validates(self, tmp_path):
         p = tmp_path / "malformed.json"
         p.write_text(json.dumps({"format_version": 1, "family": "ij_vortex",
@@ -643,22 +727,30 @@ out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
 heavy = [m for m in ("jsonschema", "numpy.polynomial", "scipy") if m in sys.modules]
+layers = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("eulercert."))
 print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-                  "heavy": heavy, "quadpack": "eulercert.quadpack" in sys.modules}))
+                  "heavy": heavy, "quadpack": "eulercert.quadpack" in sys.modules,
+                  "eulercert": layers}))
 """
+
+
+def _fresh_python(code, *argv):
+    """Run ``python -c code`` in a fresh process that imports eulercert from
+    this checkout; the completed process, which must have exited 0."""
+    import eulercert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def _modules_after(argv):
     """Run ``cli.main(argv)`` in a fresh process; its exit code, its output,
-    which of jsonschema, numpy.polynomial and scipy it loaded, and whether it
-    loaded eulercert.quadpack."""
-    import eulercert
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    which of jsonschema, numpy.polynomial and scipy it loaded, whether it
+    loaded eulercert.quadpack, and which eulercert submodules it loaded."""
+    return json.loads(_fresh_python(_MODULES_AFTER, *argv).stdout)
 
 
 def _into_closed_pipe(*argv):
