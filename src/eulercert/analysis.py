@@ -2,11 +2,13 @@
 planar energy of boosted fields, blow-up exponent fitting, and numeric
 probes that corroborate the nonexistence and completeness statements.
 
-Improper integrals are truncated at R_MAX with an analytic tail per
-family: when the registered decay envelope is exact the tail is integrated
-in closed form and added to the value; otherwise the envelope only bounds
-the truncation error, which is reported as a width.  Without an envelope
-the result is a divergence diagnosis rather than a number.
+Closed forms come from the pair's analytic facts (``SolutionPair``'s
+``radial_speed`` to ``boost_total``), which state the co-moving speed
+|u - boost_total|.  Improper integrals are truncated at R_MAX with an
+analytic tail: when the decay envelope is exact the tail is integrated in
+closed form and added to the value; otherwise the envelope only bounds the
+truncation error, reported as a width.  Without an envelope the result is
+a divergence diagnosis rather than a number.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class NormSpec:
             raise FieldError(f"norm exponent q must be finite and >= 1, got {self.q}")
         if not math.isfinite(self.t):
             raise FieldError(f"norm time t must be finite, got {self.t}")
+        if self.subtract is not None and not all(map(math.isfinite, self.subtract)):
+            raise FieldError(f"subtract must be finite, got {tuple(self.subtract)}")
         if not (self.delta > 0):
             raise FieldError("annulus inner radius delta must be > 0")
         if not (self.R > self.delta):
@@ -106,23 +110,21 @@ def _radial_speed(sol: SolutionPair, spec_subtract) -> "callable":
     or exactly the accumulated boost is subtracted (then the profile lives
     in the co-moving frame).
     """
-    speed = sol.metadata.get("radial_speed")
-    if speed is None:
-        return None
-    boost = np.asarray(sol.metadata.get("boost_total", np.zeros(sol.dimension)))
+    boost = np.zeros(sol.dimension) if sol.boost_total is None else np.asarray(sol.boost_total)
     sub = np.zeros(sol.dimension) if spec_subtract is None else np.asarray(spec_subtract)
-    if not np.array_equal(sub, boost):
-        return None
-    return speed
+    return sol.radial_speed if np.array_equal(sub, boost) else None
 
 
 def _envelope(sol: SolutionPair, t: float):
-    env = sol.metadata.get("decay_envelope")
-    if env is None:
+    if sol.decay_envelope is None:
         return None
-    kappa = env["kappa"]
-    k = kappa(t) if callable(kappa) else float(kappa)
-    return k, env["power"], env["exact"]
+    kappa, m, exact = sol.decay_envelope
+    return kappa(t), m, exact
+
+
+def _check_vector(sol: SolutionPair, v, name: str):
+    if v is not None and (len(v) != sol.dimension or not all(map(math.isfinite, v))):
+        raise FieldError(f"{name} must be {sol.dimension} finite numbers, got {tuple(v)}")
 
 
 def _tail_integral(kappa: float, m: float, q: float, R: float) -> float:
@@ -190,6 +192,7 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
     q = 2, (delta, R) = (0.5, 3), t = 0.5 gives norm^q 0.4545 about C t
     and 0.4406 about the origin.
     """
+    _check_vector(sol, spec.subtract, "subtract")
     speed = _radial_speed(sol, spec.subtract)
     if speed is not None:
         return _radial_norms(sol, speed, spec, [spec.t])[0]
@@ -225,6 +228,7 @@ def l2_energy_difference(sol: SolutionPair, C: Sequence[float], t: float = 0.0) 
     """
     if not math.isfinite(t):
         raise FieldError(f"energy time t must be finite, got {t}")
+    _check_vector(sol, C, "C")
     speed = _radial_speed(sol, tuple(C))
     if speed is None:
         return EnergyResult(None, math.inf, "divergent or unknown: no decay envelope for u - C")
@@ -287,19 +291,20 @@ def _sup_norms(sol: SolutionPair, ts: list, annulus: tuple):
     """Yield the sup norm at each time of ``ts`` in order, each computed only
     when the one before it has been read.
 
-    A closed form (``boundary_speed``, else ``sup_speed_unit_ball``) is
-    evaluated one time at a time.  Otherwise the norm is the max of
-    ``radial_speed`` over 4001 equispaced radii of the annulus, a lower bound
-    on the sup.  All times share that grid: each slice of at most
-    ANGULAR_CHUNK points (``catalog._slices``) is one ``speed(r, t)`` call
-    with ``t`` a column.  A slice whose call raises is evaluated again one
-    time at a time, so the earliest failing time raises as it would alone.
+    The norm is of the co-moving speed |u - boost_total|.  A closed form
+    (``sol.boundary_speed``, else ``sol.sup_speed_unit_ball``) is evaluated
+    one time at a time.  Otherwise it is the max of ``sol.radial_speed`` over
+    4001 equispaced radii of the annulus, a lower bound on the sup.  All
+    times share that grid: each slice of at most ANGULAR_CHUNK points
+    (``catalog._slices``) is one ``speed(r, t)`` call with ``t`` a column.
+    A slice whose call raises is evaluated again one time at a time, so the
+    earliest failing time raises as it would alone.
     """
-    closed = sol.metadata.get("boundary_speed") or sol.metadata.get("sup_speed_unit_ball")
+    closed = sol.boundary_speed or sol.sup_speed_unit_ball
     if closed is not None:
         yield from (float(closed(t)) for t in ts)
         return
-    speed = sol.metadata.get("radial_speed")
+    speed = sol.radial_speed
     if speed is None:
         raise FieldError("no sup-norm evaluator is registered for this family")
     r = np.linspace(annulus[0], annulus[1], 4001)
@@ -397,8 +402,7 @@ def _affine_solution(v1: ExprAst, v2: ExprAst, c1: float, c2: float,
         velocity_jet=velocity_jet,
         pressure_gradient=lambda X, T: np.zeros((len(X), 2)),
         singular=singular,
-        metadata={"name": "affine_probe", "family": "affine_probe",
-                  "ij_index": (1, 4), "transform_chain": []},
+        metadata={"name": "affine_probe", "family": "affine_probe", "transform_chain": []},
     )
 
 

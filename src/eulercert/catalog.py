@@ -370,10 +370,8 @@ def ij_vortex(
         "family": "ij_vortex",
         "params": _recorded(c=_spec_text(c), h=_spec_text(h), values=dict(params),
                             exclusion_radius=exclusion_radius, blowup_time=blowup_time),
-        "ij_index": (1, 2),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
         "default_time": (0.0, tmax),
-        "radial_speed": _speed_profile,
         "pressure_branch": "angle(x1, x2) in (-pi, pi], cut on {x1 = 0, x2 <= 0}",
         "transform_chain": [],
     }
@@ -389,6 +387,7 @@ def ij_vortex(
         singular=singular,
         exclusion_radius=exclusion_radius,
         metadata=metadata,
+        radial_speed=_speed_profile,
     )
 
 
@@ -453,7 +452,6 @@ def twin_wave(
         "params": _recorded(v=_spec_text(v), c1=c1, c2=c2, c3=c3, values=dict(params),
                             exclusion_radius=exclusion_radius,
                             singular_xi=list(singular_offsets)),
-        "ij_index": (1, 3),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
         "default_time": (0.0, 1.0),
         "transform_chain": [],
@@ -544,19 +542,13 @@ def linear3d(
 
     primitives = (BlowupTime(blowup_time),) if blowup_time is not None else ()
     tmax = 0.9 * blowup_time if blowup_time is not None else 1.0
-
-    def _sup_speed_unit_ball(t):
-        return abs(float(f_real(float(t)))) * spectral
-
     metadata = {
         "name": name,
         "family": "linear3d",
         "params": _recorded(f=_spec_text(f), C=C.tolist(), sigma=sigma, values=dict(params),
                             blowup_time=blowup_time),
-        "ij_index": (1, 1),
         "default_box": ((-3.0, 3.0),) * 3,
         "default_time": (0.0, tmax),
-        "sup_speed_unit_ball": _sup_speed_unit_ball,
         "transform_chain": [],
     }
     return SolutionPair(
@@ -568,6 +560,7 @@ def linear3d(
         pressure_value=pressure_val,
         singular=SingularSetDescriptor(primitives=primitives),
         metadata=metadata,
+        sup_speed_unit_ball=lambda t: abs(float(f_real(float(t)))) * spectral,
     )
 
 
@@ -660,10 +653,6 @@ def ns_halfspace_blowup(
         tau, s, isq, E = _parts(X, T_)
         return sign * (0.5 * s * isq + c) / tau
 
-    def _boundary_speed(t):
-        tau = T - float(t)
-        return 3.0 / math.sqrt(tau)
-
     singular = SingularSetDescriptor(
         primitives=(BlowupTime(T), HalfSpaceBoundary(x0)),
     )
@@ -674,7 +663,6 @@ def ns_halfspace_blowup(
                    "pressure_sign": int(pressure_sign), "exclusion_radius": exclusion_radius},
         "default_box": ((-1.0, 1.0),) * 3,
         "default_time": (0.0, 0.9 * T),
-        "boundary_speed": _boundary_speed,
         "transform_chain": [],
     }
     return SolutionPair(
@@ -687,6 +675,7 @@ def ns_halfspace_blowup(
         singular=singular,
         exclusion_radius=exclusion_radius,
         metadata=metadata,
+        boundary_speed=lambda t: 3.0 / math.sqrt(T - float(t)),
     )
 
 
@@ -739,8 +728,8 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
           Q: Optional[np.ndarray] = None, C: Optional[np.ndarray] = None) -> SolutionPair:
     """The pair w(x,t) = (lam/tau) Q^T u(Q (x - C t)/lam, t/tau) + C, with
     grad pbar = (lam/tau^2) Q^T grad p and pbar = (lam/tau)^2 p at the same
-    point, viscosity sigma lam^2 / tau, exclusion radius lam r and the
-    singular set moved by the same map (``SingularSetDescriptor.moved``).
+    point, viscosity sigma lam^2 / tau, exclusion radius lam r, and the
+    singular set (``SingularSetDescriptor.moved``) and facts moved alike.
 
     ``entry`` extends the transform chain.  A factor that is exactly 1, or an
     absent Q or C, is skipped: no bit changes, and the hot paths skip its work.
@@ -808,39 +797,37 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
 
     md = dict(sol.metadata)
     md["transform_chain"] = list(md.get("transform_chain", [])) + [entry]
-    if C is not None or "boost_total" in md:
-        total = np.asarray(md.get("boost_total", np.zeros(sol.dimension)))
+    mapped = {}  # the scaled constants and the analytic facts
+    if C is not None or sol.boost_total is not None:
+        total = np.zeros(sol.dimension) if sol.boost_total is None else np.asarray(sol.boost_total)
         if Q is not None:
             total = Q.T @ total
         if scaled:
             total = amp * total
-        md["boost_total"] = tuple(map(float, total if C is None else total + C))
-    scaled_fields = {}
+        mapped["boost_total"] = tuple(map(float, total if C is None else total + C))
+    # the facts describe |w - boost_total|, which a boost or a rotation keeps
     if scaled:
-        scaled_fields = {"viscosity": sol.viscosity * lam * lam / tau,
-                         "exclusion_radius": lam * sol.exclusion_radius}
+        mapped.update(viscosity=sol.viscosity * lam * lam / tau,
+                      exclusion_radius=lam * sol.exclusion_radius)
+        speed, boundary, ball = sol.radial_speed, sol.boundary_speed, sol.sup_speed_unit_ball
         if "default_box" in md:
             md["default_box"] = tuple((lam * lo, lam * hi) for lo, hi in md["default_box"])
         if "default_time" in md:
             t0, t1 = md["default_time"]
             md["default_time"] = (tau * t0, tau * t1)
-        if "radial_speed" in md:
-            base_speed = md["radial_speed"]
-            md["radial_speed"] = lambda r, t: amp * base_speed(np.asarray(r) / lam,
-                                                               np.asarray(t) / tau)
-        if "boundary_speed" in md:
-            base_boundary = md["boundary_speed"]
-            md["boundary_speed"] = lambda t: amp * base_boundary(t / tau)
-        if "sup_speed_unit_ball" in md:
+        if speed is not None:
+            mapped["radial_speed"] = lambda r, t: amp * speed(np.asarray(r) / lam,
+                                                              np.asarray(t) / tau)
+        if boundary is not None:
+            mapped["boundary_speed"] = lambda t: amp * boundary(t / tau)
+        if ball is not None:
             # the unit ball pulls back to the ball of radius 1/lam: 1/lam times the
             # sup for a field linear in x, as linear3d's (the one family with it)
-            base_ball = md["sup_speed_unit_ball"]
-            md["sup_speed_unit_ball"] = lambda t: amp / lam * base_ball(t / tau)
-        if "decay_envelope" in md:
-            env = md["decay_envelope"]
-            kappa, gain = env["kappa"], amp * lam ** env["power"]
-            md["decay_envelope"] = {**env, "kappa": (lambda t: gain * kappa(t / tau))
-                                    if callable(kappa) else gain * kappa}
+            mapped["sup_speed_unit_ball"] = lambda t: amp / lam * ball(t / tau)
+        if sol.decay_envelope is not None:
+            kappa, m, exact = sol.decay_envelope
+            gain = amp * lam ** m
+            mapped["decay_envelope"] = (lambda t: gain * kappa(t / tau), m, exact)
     return replace(
         sol,
         velocity=velocity,
@@ -851,7 +838,7 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         pressure_cut_clearance=cut if base_cut is not None else None,
         singular=sol.singular.moved(lam, tau, Q, C),
         metadata=md,
-        **scaled_fields,
+        **mapped,
     )
 
 
@@ -891,14 +878,10 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
 # distance to the singular set, and the FD cross-checks amplify rounding
 # noise by 1/step).  See the README for the calibration notes.
 #
-# A builder takes the overrides and returns the solution and the metadata
-# the preset adds to it; ``preset`` sets the name and summary, and refuses
-# an override key that the preset's row does not name.
+# A builder takes the overrides and returns the solution with what the
+# preset adds to its family; ``preset`` sets the name and summary, and
+# refuses an override key that the preset's row does not name.
 # ---------------------------------------------------------------------------
-
-
-def _decay(kappa, power, exact):
-    return {"decay_envelope": {"kappa": kappa, "power": power, "exact": exact}}
 
 
 def _wave_speeds(ov):
@@ -907,21 +890,21 @@ def _wave_speeds(ov):
 
 def _preset_ex_2_5(ov):
     sol = ij_vortex("t", "-1/r^2", exclusion_radius=ov.get("exclusion_radius", 0.3))
-    return sol, _decay(lambda t: abs(t - 1.0), 1, True)
+    return replace(sol, decay_envelope=(lambda t: abs(t - 1.0), 1, True))
 
 
 def _preset_ex_2_6(ov):
     T = float(ov.get("T", 1.0))
     sol = ij_vortex("1/(T - t)", "-1/r^2", params={"T": T}, blowup_time=T,
                     exclusion_radius=ov.get("exclusion_radius", 0.7))
-    return sol, _decay(lambda t: abs(1.0 / (T - t) - 1.0), 1, True)
+    return replace(sol, decay_envelope=(lambda t: abs(1.0 / (T - t) - 1.0), 1, True))
 
 
 def _preset_ex_3_2(ov):
     base = ij_vortex("1", "-1/r^2 + 1/(1+r^2)^2",
                      exclusion_radius=ov.get("exclusion_radius", 0.12))
     sol = apply_transform(base, TransformSpec.boost(tuple(ov.get("C", (1.0, 1.0)))))
-    return sol, _decay(1.0, 3, False)
+    return replace(sol, decay_envelope=(lambda t: 1.0, 3, False))
 
 
 def _preset_ex_3_10(ov):
@@ -931,19 +914,19 @@ def _preset_ex_3_10(ov):
                     params={"T": T, "c1": c1, "c2": c2},
                     singular_offsets=(-T * (c1 - c2),),
                     exclusion_radius=ov.get("exclusion_radius", 0.45))
-    return sol, {"form_symmetry_time": T}
+    return replace(sol, metadata={**sol.metadata, "form_symmetry_time": T})
 
 
 def _preset_ex_3_4_smooth(ov):
     c1, c2, c3 = _wave_speeds(ov)
     return twin_wave("1/(1+x^2)^2 - c1", c1, c2, c3, params={"c1": c1},
-                     exclusion_radius=ov.get("exclusion_radius", 1e-3)), {}
+                     exclusion_radius=ov.get("exclusion_radius", 1e-3))
 
 
 def _preset_ex_3_4_singular(ov):
     c1, c2, c3 = _wave_speeds(ov)
     return twin_wave("1/x^2", c1, c2, c3, singular_offsets=(0.0,),
-                     exclusion_radius=ov.get("exclusion_radius", 0.45)), {}
+                     exclusion_radius=ov.get("exclusion_radius", 0.45))
 
 
 _C_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -2.0))
@@ -951,13 +934,13 @@ _C_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -2.0))
 
 def _preset_ex_5_1_const(ov):
     return linear3d("1", np.asarray(ov.get("C", _C_DEFAULT)),
-                    sigma=float(ov.get("sigma", 0.0))), {}
+                    sigma=float(ov.get("sigma", 0.0)))
 
 
 def _preset_ex_5_1_blowup(ov):
     T = float(ov.get("T", 1.0))
     return linear3d("1/(T - t)", np.asarray(ov.get("C", _C_DEFAULT)),
-                    sigma=float(ov.get("sigma", 0.0)), params={"T": T}, blowup_time=T), {}
+                    sigma=float(ov.get("sigma", 0.0)), params={"T": T}, blowup_time=T)
 
 
 def _preset_ex_6_1(ov):
@@ -968,7 +951,7 @@ def _preset_ex_6_1(ov):
         x0=tuple(ov.get("x0", (0.0, 0.0, 0.0))),
         pressure_sign=int(ov.get("pressure_sign", 1)),
         exclusion_radius=float(ov.get("exclusion_radius", 0.01)),
-    ), {}
+    )
 
 
 _RADIUS = ("exclusion_radius",)
@@ -1026,5 +1009,5 @@ def preset(preset_id: str, overrides: Optional[dict] = None) -> SolutionPair:
     if unknown:
         raise FieldError(f"preset {preset_id!r} does not take override(s) {unknown}; "
                          f"it takes {list(keys)}")
-    sol, extra = builder(overrides)
-    return replace(sol, metadata={**sol.metadata, **extra, "name": preset_id, "summary": summary})
+    sol = builder(overrides)
+    return replace(sol, metadata={**sol.metadata, "name": preset_id, "summary": summary})

@@ -299,7 +299,7 @@ def cmd_norm(args) -> int:
     sol = _resolve(args.spec)
     subtract = None
     if args.subtract_boost:
-        subtract = tuple(sol.metadata.get("boost_total", (0.0,) * sol.dimension))
+        subtract = tuple(sol.boost_total or (0.0,) * sol.dimension)
     if args.delta is None and args.R is None:
         if args.q != 2:
             raise SpecError("whole-plane energy is the q = 2 norm; pass --delta/--R for other q")

@@ -394,6 +394,13 @@ class SolutionPair:
     velocity_jacobian: Optional[Callable] = None  # (X, T) -> (N, dim, dim)
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS
     metadata: dict = field(default_factory=dict)
+    # Analytic facts, None where a family has none, mapped by ``catalog._step``
+    # with the field.  Each states the co-moving speed |w - boost_total|.
+    radial_speed: Optional[Callable] = None  # (r, t) -> speed at distance r from the centre
+    decay_envelope: Optional[tuple] = None  # (kappa, m, exact): speed <= kappa(t)/r^m, = if exact
+    boundary_speed: Optional[Callable] = None  # t -> speed on the half-space boundary
+    sup_speed_unit_ball: Optional[Callable] = None  # t -> sup of the speed on the unit ball
+    boost_total: Optional[tuple] = None  # accumulated boost C, the co-moving frame's velocity
 
     # -- single-point conveniences ------------------------------------------
 

@@ -75,7 +75,7 @@ class TestAnnulusNorm:
     @pytest.mark.parametrize("pid", ["ex_2_5", "ex_2_6", "ex_3_2"])
     def test_monotonicity_in_radii(self, pid):
         sol = preset(pid)
-        sub = tuple(sol.metadata.get("boost_total", (0.0, 0.0)))
+        sub = tuple(sol.boost_total or (0.0, 0.0))
         t = 0.5
         pairs = [(0.5, 2.0), (0.5, 4.0), (1.0, 4.0), (2.0, 4.0), (1.0, 8.0)]
         vals = {p: annulus_lq_norm(sol, NormSpec(q=2, delta=p[0], R=p[1], t=t,
@@ -109,12 +109,29 @@ class TestAnnulusNorm:
         with pytest.raises(FieldError, match="time t must be finite"):
             l2_energy_difference(preset("ex_3_2"), (1.0, 1.0), t=bad)
 
+    def test_energy_offset_of_the_wrong_length_rejected(self):
+        with pytest.raises(FieldError, match="C must be 2 finite numbers"):
+            l2_energy_difference(preset("ex_3_2"), (1.0, 1.0, 0.0))
+
+    def test_energy_offset_not_finite_rejected(self):
+        with pytest.raises(FieldError, match="C must be 2 finite numbers"):
+            l2_energy_difference(preset("ex_3_2"), (math.nan, 1.0))
+
+    def test_subtract_of_the_wrong_length_rejected(self):
+        spec = NormSpec(q=2, delta=1, R=2, t=0, subtract=(1, 1, 1))
+        with pytest.raises(FieldError, match="subtract must be 2 finite numbers"):
+            annulus_lq_norm(preset("ex_3_4_smooth"), spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_subtract_not_finite_rejected(self, bad):
+        with pytest.raises(FieldError, match="subtract must be finite"):
+            NormSpec(q=2, delta=1.0, R=2.0, t=0.0, subtract=(bad, 1.0))
+
 
 
 def _without_radial_speed(sol, velocity=None):
     """The same field, forced onto the generic polar path of annulus_lq_norm."""
-    md = {k: v for k, v in sol.metadata.items() if k != "radial_speed"}
-    return dataclasses.replace(sol, metadata=md, velocity=velocity or sol.velocity)
+    return dataclasses.replace(sol, radial_speed=None, velocity=velocity or sol.velocity)
 
 
 def _dense_polar_oracle(sol, q, delta, R, t):
@@ -135,7 +152,7 @@ class TestPolarPath:
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_matches_the_radial_path(self, pid, q, t):
         sol = preset(pid)
-        C = np.asarray(sol.metadata.get("boost_total", (0.0, 0.0)))
+        C = np.asarray(sol.boost_total or (0.0, 0.0))
         # The radial path measures a boosted vortex about its moving centre
         # C t, so the polar path is given the field in that frame.
         polar = _without_radial_speed(
@@ -234,13 +251,13 @@ class TestPlanarEnergy:
     ], ids=["C", "rotated", "rescaled-up", "rescaled-down"])
     def test_transformed_energy_is_pinned(self, build, t, value):
         sol = build()
-        assert repr(l2_energy_difference(sol, sol.metadata["boost_total"], t=t).value) == value
+        assert repr(l2_energy_difference(sol, sol.boost_total, t=t).value) == value
 
     def test_rescaled_tail_bound(self):
         # rescale(2, 0.5) maps the envelope 1/r^3 to (lam/tau) lam^3 / r^3 = 32/r^3,
         # so the bound on the squared tail grows by 32^2
         sol = apply_transform(preset("ex_3_2"), TransformSpec.rescale(2.0, 0.5))
-        res = l2_energy_difference(sol, sol.metadata["boost_total"], t=0.4)
+        res = l2_energy_difference(sol, sol.boost_total, t=0.4)
         assert res.tail_bound == pytest.approx(32.0**2 * 1.5707963267948965e-12, rel=1e-12)
 
 
@@ -266,7 +283,7 @@ class TestEnergyIntegrand:
                        min_size=1, max_size=42),
            t=st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5]))
     def test_array_speed_equals_scalar_speed(self, form, rs, t):
-        speed = EX_3_2_FORMS[form].metadata["radial_speed"]
+        speed = EX_3_2_FORMS[form].radial_speed
 
         def outcome(r):
             try:
@@ -292,7 +309,7 @@ class TestEnergyIntegrand:
         monkeypatch.setattr(analysis, "quad", capture)
         sol = preset("ex_3_2")
         l2_energy_difference(sol, (1.0, 1.0), t=0.3)
-        speed = sol.metadata["radial_speed"]
+        speed = sol.radial_speed
         r = np.random.default_rng(0).uniform(0.0, 20.0, 20000)
         s = speed(r, 0.3).tolist()
         # radii where x * x (or numpy's ** 2) would move the integrand's last bit
@@ -316,6 +333,11 @@ class TestBlowupFit:
         fit = blowup_exponent_fit(preset("ex_6_1"))
         assert fit.exponent == pytest.approx(-0.5, abs=1e-10)
         assert fit.residual_rms <= 1e-3
+
+    def test_boosted_halfspace_boundary_rate(self):
+        # the boundary speed is the co-moving |w - C| = 3/sqrt(tau) under a boost
+        sol = apply_transform(preset("ex_6_1"), TransformSpec.boost((1.0, 0.0, 0.0)))
+        assert blowup_exponent_fit(sol).exponent == pytest.approx(-0.5, abs=1e-9)
 
     def test_linear_amplitude_rate(self):
         fit = blowup_exponent_fit(preset("ex_5_1_blowup"))
@@ -376,7 +398,7 @@ class TestSupFitGrid:
     @pytest.mark.parametrize("annulus", [(1.0, 2.0), (0.5, 3.0)])
     def test_samples_equal_single_time_max(self, case, K, annulus):
         sol = SUP_GRID_CASES[case]()
-        speed, T = sol.metadata["radial_speed"], sol.singular.blowup_time()
+        speed, T = sol.radial_speed, sol.singular.blowup_time()
         r = np.linspace(annulus[0], annulus[1], 4001)
         want = []
         for t in (T * (1.0 - 2.0 ** -k) for k in range(1, K + 1)):
@@ -401,7 +423,7 @@ class TestSupFitGrid:
         sol = ij_vortex("exp(1000*t) + ln(0.8 - t)", "0", blowup_time=1.0)
         with np.errstate(over="ignore"):
             with pytest.raises(ExpressionError, match="ln requires a positive argument"):
-                sol.metadata["radial_speed"](np.linspace(1.0, 2.0, 4001), 0.875)
+                sol.radial_speed(np.linspace(1.0, 2.0, 4001), 0.875)
             with pytest.raises(FieldError, match=r"^norm evaluation failed at t = 0\.75$"):
                 blowup_exponent_fit(sol)
 
@@ -560,7 +582,7 @@ class TestRadialPath:
         sol = ij_vortex("t", "-1.5/r^2 + 1/(1+r^2)")
         spec = NormSpec(q=1.0, delta=0.3, R=5.0, t=0.0)
         times = [0.3, 0.8, 1.0, 1.1, 2.0]
-        batch = _radial_norms(sol, sol.metadata["radial_speed"], spec, times)
+        batch = _radial_norms(sol, sol.radial_speed, spec, times)
         assert bisected == [3]
         for t, res in zip(times, batch):
             one = annulus_lq_norm(sol, dataclasses.replace(spec, t=t))

@@ -101,7 +101,7 @@ class TestLinear3d:
         T = 1.0
         sol = linear3d("1/(T - t)", np.diag([1.0, 1.0, -2.0]), params={"T": T},
                        blowup_time=T)
-        sup = sol.metadata["sup_speed_unit_ball"]
+        sup = sol.sup_speed_unit_ball
         for t in (0.0, 0.5, 0.875):
             assert sup(t) * (T - t) == pytest.approx(2.0)
 
@@ -220,7 +220,7 @@ class TestTransforms:
         X = np.array([[0.3, -0.1, -0.2], [1.0, 0.5, -1.5]])  # s = 0
         for t in (0.1, 0.4 * tau, 0.9 * tau):
             speed = np.linalg.norm(sol.velocity(X, np.full(2, t)), axis=1)
-            np.testing.assert_allclose(speed, sol.metadata["boundary_speed"](t), rtol=1e-12)
+            np.testing.assert_allclose(speed, sol.boundary_speed(t), rtol=1e-12)
 
     @pytest.mark.parametrize("lam, tau", [(2.0, 0.5), (1.0, 2.0), (0.3, 3.0)])
     def test_rescaled_unit_ball_sup_is_the_speed_on_the_stretching_axis(self, lam, tau):
@@ -228,7 +228,67 @@ class TestTransforms:
         sol = apply_transform(preset("ex_5_1_blowup"), TransformSpec.rescale(lam, tau))
         for t in (0.1, 0.4 * tau, 0.9 * tau):
             speed = np.linalg.norm(sol.velocity(np.array([[0.0, 0.0, 1.0]]), np.array([t])))
-            assert speed == pytest.approx(sol.metadata["sup_speed_unit_ball"](t), rel=1e-12)
+            assert speed == pytest.approx(sol.sup_speed_unit_ball(t), rel=1e-12)
+
+
+def _callables(obj):
+    """The callables inside nested dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        return [c for v in obj.values() for c in _callables(v)]
+    if isinstance(obj, (list, tuple)):
+        return [c for v in obj for c in _callables(v)]
+    return [obj] if callable(obj) else []
+
+
+def _chain(sol, C=(0.5, -1.5, 0.25), angle=0.7, lam=2.0, tau=0.5):
+    """boost -> rotation (2D only) -> rescale."""
+    sol = apply_transform(sol, TransformSpec.boost(C[:sol.dimension]))
+    if sol.dimension == 2:
+        sol = apply_transform(sol, TransformSpec.rotation(angle))
+    return apply_transform(sol, TransformSpec.rescale(lam, tau))
+
+
+FACTS = ("radial_speed", "decay_envelope", "boundary_speed", "sup_speed_unit_ball")
+
+
+class TestAnalyticFacts:
+    """Facts are pair fields that every transform maps, and each states the
+    co-moving speed |w - boost_total|."""
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    @pytest.mark.parametrize("chained", [False, True], ids=["preset", "chain"])
+    def test_metadata_holds_no_callable(self, pid, chained):
+        sol = _chain(preset(pid)) if chained else preset(pid)
+        assert _callables(sol.metadata) == []
+        for name in FACTS:  # a chain keeps every fact the preset has
+            assert (getattr(sol, name) is None) == (getattr(preset(pid), name) is None), name
+
+    def test_chain_boost_total(self):
+        # the README's rule, (lam/tau) Q^T C, one step at a time
+        C, angle, lam, tau = (0.5, -1.5), 0.7, 2.0, 0.5
+        ca, sa = math.cos(angle), math.sin(angle)
+        Q = np.array([[ca, -sa], [sa, ca]])
+        want = tuple(map(float, (lam / tau) * (Q.T @ np.array(C))))
+        assert _chain(preset("ex_2_5"), C, angle, lam, tau).boost_total == want
+        assert preset("ex_2_5").boost_total is None
+
+    def test_boosted_boundary_speed_is_the_co_moving_speed(self):
+        C = np.array([1.0, 0.0, 0.0])
+        sol = apply_transform(preset("ex_6_1"), TransformSpec.boost(C))
+        base = np.array([[0.3, -0.1, -0.2], [1.0, 0.5, -1.5]])  # s = 0
+        for t in (0.1, 0.5, 0.9):
+            X = base + C * t  # on the moved boundary
+            speed = np.linalg.norm(sol.velocity(X, np.full(2, t)) - C, axis=1)
+            np.testing.assert_allclose(speed, sol.boundary_speed(t), rtol=1e-12)
+            assert sol.boundary_speed(t) == pytest.approx(3.0 / math.sqrt(1.0 - t), rel=1e-15)
+
+    def test_boosted_unit_ball_sup_is_the_co_moving_speed(self):
+        C = np.array([0.5, -1.0, 2.0])
+        sol = apply_transform(preset("ex_5_1_blowup"), TransformSpec.boost(C))
+        for t in (0.1, 0.5, 0.9):
+            X = (C * t + [0.0, 0.0, 1.0])[None, :]
+            speed = np.linalg.norm(sol.velocity(X, np.array([t]))[0] - C)
+            assert speed == pytest.approx(sol.sup_speed_unit_ball(t), rel=1e-12)
 
 
 class TestPresets:
@@ -262,7 +322,7 @@ class TestPresets:
     def test_traveling_vortex_is_shifted_rotational_field(self):
         # with equal boost components, u - C is (y2, -y1)/(1+|y|^2)^2
         sol = preset("ex_3_2")
-        C = np.array(sol.metadata["boost_total"])
+        C = np.array(sol.boost_total)
         assert C.tolist() == [1.0, 1.0]
         rng = np.random.default_rng(3)
         checked = 0
