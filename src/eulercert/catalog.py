@@ -697,7 +697,10 @@ class TransformSpec:
 
     @staticmethod
     def boost(velocity: Sequence[float]) -> "TransformSpec":
-        return TransformSpec(kind="boost", velocity=tuple(float(v) for v in velocity))
+        try:
+            return TransformSpec(kind="boost", velocity=tuple(float(v) for v in velocity))
+        except TypeError:
+            raise FieldError(f"boost velocity must be a vector of numbers, got {velocity!r}") from None
 
     @staticmethod
     def rotation(angle: float) -> "TransformSpec":

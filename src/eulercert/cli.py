@@ -67,9 +67,12 @@ SPEC_SCHEMA = {
                 "c1": {"type": "number"},
                 "c2": {"type": "number"},
                 "c3": {"type": "number"},
-                "C": {"type": "array", "minItems": 3, "maxItems": 3,
-                      "items": {"type": "array", "items": {"type": "number"},
-                                "minItems": 3, "maxItems": 3}},
+                # a 3x3 strain matrix (linear3d) or the boost of ex_3_2
+                "C": {"anyOf": [{"type": "array", "minItems": 3, "maxItems": 3,
+                                 "items": {"type": "array", "items": {"type": "number"},
+                                           "minItems": 3, "maxItems": 3}},
+                                {"type": "array", "items": {"type": "number"},
+                                 "minItems": 2, "maxItems": 2}]},
                 "sigma": {"type": "number"},
                 "T": {"type": "number"},
                 "x0": {"type": "array", "items": {"type": "number"}},
@@ -157,6 +160,10 @@ def build_solution(doc: dict) -> SolutionPair:
     if "box" in ov:
         md["default_box"] = tuple(tuple(map(float, b)) for b in ov["box"])
     if "time" in ov:
+        T = sol.singular.blowup_time()
+        if T is not None:
+            raise SpecError(f"overrides.time does not apply: a solution with blow-up time {T} "
+                            "is sampled from 0 up to --until times its blow-up time")
         md["default_time"] = tuple(map(float, ov["time"]))
     sol = replace(sol, metadata=md)
     if "exclusion_radius" in ov:
@@ -277,13 +284,12 @@ def cmd_list(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .verification import SampleRegion, Tolerances, certify, default_region
+    from .verification import Tolerances, certify, default_region
 
     sol = _resolve(args.spec, args.pressure_sign)
     region = default_region(sol, count=args.samples, seed=args.seed, until=args.until)
     if args.exclusion is not None:
-        region = SampleRegion(box=region.box, time=region.time, count=region.count,
-                              seed=region.seed, exclusion_radius=args.exclusion)
+        region = replace(region, exclusion_radius=args.exclusion)
     # only the flags given: the defaults are Tolerances' own
     given = {"residual": args.tol_residual, "divergence": args.tol_div,
              "fd": args.tol_fd, "vorticity": args.tol_vorticity}
@@ -398,24 +404,21 @@ def cmd_probe(args) -> int:
 def cmd_grid_dump(args) -> int:
     sol = _resolve(args.spec)
     dim = sol.dimension
-    if args.box is not None:
-        if len(args.box) != 2 * dim:
-            raise SpecError(f"--box needs {2 * dim} numbers for a {dim}D solution")
-        box = [(args.box[2 * i], args.box[2 * i + 1]) for i in range(dim)]
-    else:
-        box = [tuple(b) for b in sol.metadata.get("default_box", ((-3.0, 3.0),) * dim)]
-    T = sol.singular.blowup_time()
-    tmax = args.until * T if T is not None else sol.metadata.get("default_time", (0.0, 1.0))[1]
+    if args.box is not None and len(args.box) != 2 * dim:
+        raise SpecError(f"--box needs {2 * dim} numbers for a {dim}D solution")
     if args.nx < 1 or args.nt < 1:
         raise SpecError(f"--nx and --nt must be >= 1, got {args.nx} and {args.nt}")
 
-    from .verification import SampleRegion, _divergence_batch, _residual_batch, _validate_region
+    from .verification import _divergence_batch, _residual_batch, _validate_region, default_region
 
-    # the checks certify applies: a finite non-degenerate box and time
-    # interval, ending strictly below any blow-up time
-    _validate_region(sol, SampleRegion(box=tuple(box), time=(0.0, tmax)))
-    axes = [np.linspace(lo, hi, args.nx) for lo, hi in box]
-    ts = np.linspace(0.0, tmax, args.nt)
+    # certify's box and time interval, and the checks it applies: a finite
+    # non-degenerate region ending strictly below any blow-up time
+    region = default_region(sol, until=args.until)
+    if args.box is not None:
+        region = replace(region, box=tuple(zip(args.box[::2], args.box[1::2])))
+    _validate_region(sol, region)
+    axes = [np.linspace(lo, hi, args.nx) for lo, hi in region.box]
+    ts = np.linspace(*region.time, args.nt)
 
     eval_errors = (FieldError, ExpressionError, FloatingPointError, ZeroDivisionError)
     header_coords = ["x1", "x2", "x3"][:dim]

@@ -13,6 +13,7 @@ the primary object and the pressure value only away from the cut.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -190,9 +191,10 @@ def row_max(A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Singular-set primitives
 #
-# Each primitive reports a nonnegative distance that is exactly zero on its
-# own locus, answers whether a point must be excluded at a given radius, and
-# moves with its field: ``moved`` maps it by x -> lam Q^T x + C t, t -> tau t.
+# Each primitive states its geometry once, as a signed distance that is
+# exactly zero on its own locus and negative on its excluded side (a locus
+# with no such side, a point or a line, is never negative).  It moves with
+# its field: ``moved`` maps it by x -> lam Q^T x + C t, t -> tau t.
 # ---------------------------------------------------------------------------
 
 
@@ -219,9 +221,6 @@ class MovingPoint:
 
     def distance(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         return _fold_norm(_offsets(X, T, self.pos0, self.vel))
-
-    def excludes(self, X, T, radius):
-        return self.distance(X, T) < radius
 
     def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         return MovingPoint(*_moved_origin(self.pos0, self.vel, lam, tau, Q, C))
@@ -252,9 +251,6 @@ class MovingLine:
     def distance(self, X, T):
         return np.abs(X @ np.asarray(self.normal) - self.b0 - self.b1 * T)
 
-    def excludes(self, X, T, radius):
-        return self.distance(X, T) < radius
-
     def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         normal = self.normal if Q is None else tuple(Q.T @ np.asarray(self.normal))
         b1 = lam * self.b1 / tau
@@ -274,10 +270,7 @@ class BlowupTime:
     T: float
 
     def distance(self, X, T):
-        return np.abs(self.T - T)
-
-    def excludes(self, X, T, radius):
-        return (self.T - T) < radius
+        return self.T - T
 
     def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         return BlowupTime(tau * self.T)
@@ -291,8 +284,8 @@ class HalfSpaceBoundary:
     """Boundary s = 0 of the admissible half-space s >= 0.
 
     s is the sum of the shifted coordinates, s = sum_i (x_i - x0_i - vel_i t);
-    the Euclidean distance to the plane is s / sqrt(dim).  Points with s < 0
-    are outside the domain and always excluded.
+    the signed Euclidean distance to the plane is s / sqrt(dim), negative
+    outside the domain.
     """
 
     x0: tuple
@@ -302,14 +295,8 @@ class HalfSpaceBoundary:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "vel", tuple(float(v) for v in self.vel))
 
-    def _s(self, X, T):
-        return _fold_sum(_offsets(X, T, self.x0, self.vel))
-
     def distance(self, X, T):
-        return np.abs(self._s(X, T)) / math.sqrt(len(self.x0))
-
-    def excludes(self, X, T, radius):
-        return self._s(X, T) / math.sqrt(len(self.x0)) < radius
+        return _fold_sum(_offsets(X, T, self.x0, self.vel)) / math.sqrt(len(self.x0))
 
     def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         if Q is not None:
@@ -333,16 +320,18 @@ class SingularSetDescriptor:
     pressure_cut: tuple = ()
 
     def clearance(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Distance to the nearest hard primitive (inf when there is none)."""
+        """Least signed distance over the hard primitives: negative on the
+        excluded side of one, inf when there is none.  At an admissible point
+        it is the distance to the nearest primitive."""
         if not self.primitives:
             return np.full(len(X), np.inf)
-        return np.min([p.distance(X, T) for p in self.primitives], axis=0)
+        return functools.reduce(np.minimum, (p.distance(X, T) for p in self.primitives))
 
     def admissible(self, X, T, radius) -> np.ndarray:
-        ok = np.ones(len(X), dtype=bool)
-        for p in self.primitives:
-            ok &= ~p.excludes(X, T, radius)
-        return ok
+        """Points whose clearance is at least ``radius``.  A NaN coordinate or
+        time makes the clearance NaN, so with any primitive such a point is
+        not admissible."""
+        return self.clearance(X, T) >= radius
 
     def blowup_time(self) -> Optional[float]:
         times = [p.T for p in self.primitives if isinstance(p, BlowupTime)]
@@ -426,11 +415,6 @@ class SolutionPair:
     @property
     def name(self) -> str:
         return self.metadata.get("name", self.metadata.get("family", "solution"))
-
-    def describe(self) -> str:
-        chain = self.metadata.get("transform_chain", [])
-        suffix = f" ({len(chain)} transform(s))" if chain else ""
-        return f"{self.name}: dim={self.dimension}, sigma={self.viscosity}{suffix}"
 
 
 # ---------------------------------------------------------------------------

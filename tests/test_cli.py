@@ -311,6 +311,16 @@ class TestGridDump:
         assert code == 0
         assert out.strip().split("\n")[-1].split(",")[2] == "0.98999999999999999"
 
+    def test_dump_spans_the_certify_time_interval(self, tmp_path, capsys):
+        doc = {"family": "preset", "preset": "ex_3_10", "overrides": {"time": [0.5, 1.0]}}
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps(doc))
+        assert default_region(build_solution(doc)).time == (0.5, 1.0)
+        code, out, _ = run(capsys, "grid-dump", str(p), "--nx", "2", "--nt", "3")
+        assert code == 0
+        times = [row.split(",")[2] for row in out.strip().split("\n")[2:]]
+        assert times == ["0.5"] * 4 + ["0.75"] * 4 + ["1"] * 4
+
 
 class TestGridDumpInadmissiblePoints:
     def _count_velocity_calls(self, monkeypatch, capsys, *argv):
@@ -484,12 +494,28 @@ class TestSpecInputErrors:
          "family 'ij_vortex' is missing required parameter 'c'"),
         ({"family": "linear3d", "params": {"f": "1"}},
          "family 'linear3d' is missing required parameter 'C'"),
+        ({"family": "preset", "preset": "ex_3_2",
+          "params": {"C": [[1, 0, 0], [0, 1, 0], [0, 0, -2]]}},
+         "boost velocity must be a vector of numbers, got ([1, 0, 0], [0, 1, 0], [0, 0, -2])"),
+        ({"family": "preset", "preset": "ex_2_6", "overrides": {"time": [0.0, 0.2]}},
+         "overrides.time does not apply: a solution with blow-up time 1.0 is sampled "
+         "from 0 up to --until times its blow-up time"),
     ])
     def test_is_input_error(self, tmp_path, capsys, doc, message):
         code, out, err = self._certify(tmp_path, capsys, doc)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_preset_boost_is_a_two_vector(self, tmp_path, capsys):
+        # ex_3_2's C is its boost velocity, not a strain matrix
+        direct = preset("ex_3_2", {"C": (0.5, -2.0)})
+        report = certify(direct, default_region(direct, count=300)).to_dict()
+        code, out, err = self._certify(tmp_path, capsys, {
+            "family": "preset", "preset": "ex_3_2", "params": {"C": [0.5, -2.0]}})
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert report != certify(preset("ex_3_2"), default_region(direct, count=300)).to_dict()
 
     @pytest.mark.parametrize("doc", [
         {"family": "ij_vortex", "name": "v",

@@ -17,6 +17,7 @@ from eulercert.fields import (
     InadmissiblePointError,
     MovingLine,
     MovingPoint,
+    SingularSetDescriptor,
     SpaceTimePoint,
     pressure_value,
     radial_field_jet,
@@ -180,18 +181,54 @@ class TestSingularPrimitives:
         assert line.distance(X, np.array([0.0]))[0] == pytest.approx(math.sqrt(0.5))
 
     def test_blowup_time_excludes_beyond(self):
-        b = BlowupTime(1.0)
-        X = np.zeros((1, 2))
-        assert bool(b.excludes(X, np.array([1.5]), 0.01)[0])
-        assert bool(b.excludes(X, np.array([0.995]), 0.01)[0])
-        assert not bool(b.excludes(X, np.array([0.9]), 0.01)[0])
+        sing = SingularSetDescriptor((BlowupTime(1.0),))
+        X = np.zeros((3, 2))
+        ok = sing.admissible(X, np.array([1.5, 0.995, 0.9]), 0.01)
+        assert ok.tolist() == [False, False, True]
 
     def test_halfspace_excludes_outside(self):
-        hs = HalfSpaceBoundary((0.0, 0.0, 0.0))
+        sing = SingularSetDescriptor((HalfSpaceBoundary((0.0, 0.0, 0.0)),))
         X = np.array([[-1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         T = np.zeros(2)
-        ex = hs.excludes(X, T, 0.01)
-        assert bool(ex[0]) and not bool(ex[1])
+        assert sing.admissible(X, T, 0.01).tolist() == [False, True]
+
+    def test_blowup_distance_is_negative_after_blowup(self):
+        d = BlowupTime(1.0).distance(np.zeros((3, 2)), np.array([0.75, 1.0, 1.5]))
+        assert d.tolist() == [0.25, 0.0, -0.5]
+
+    def test_halfspace_distance_is_negative_outside(self):
+        hs = HalfSpaceBoundary((0.0, 0.0, 0.0))
+        X = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        d = hs.distance(X, np.zeros(3))
+        assert d.tolist() == [-1.0 / math.sqrt(3), 0.0, 3.0 / math.sqrt(3)]
+
+    def test_clearance_is_negative_outside_the_domain(self):
+        # ex_6_1: the half-space s >= 0 up to the blow-up time t = 1
+        sing = preset("ex_6_1").singular
+        X = np.array([[-1.0, -1.0, -1.0], [2.0, 2.0, 2.0], [2.0, 2.0, 2.0]])
+        T = np.array([0.5, 1.5, 0.5])
+        clear = sing.clearance(X, T)
+        assert clear[0] < 0.0 and clear[1] < 0.0 and clear[2] > 0.0
+        assert sing.admissible(X, T, 1e-3).tolist() == [False, False, True]
+
+    def test_clearance_without_primitives_is_inf(self):
+        sing = SingularSetDescriptor()
+        X, T = np.array([[0.0, 0.0], [np.nan, 0.0]]), np.zeros(2)
+        assert sing.clearance(X, T).tolist() == [math.inf, math.inf]
+        assert sing.admissible(X, T, 1e-3).tolist() == [True, True]
+
+    @pytest.mark.parametrize("primitive, dim", [
+        (MovingPoint((0.0, 0.0), (0.0, 0.0)), 2),
+        (MovingLine((0.0, 1.0), 0.0, 0.0), 2),
+        (HalfSpaceBoundary((0.0, 0.0, 0.0)), 3),
+    ], ids=["point", "line", "half_space"])
+    def test_nan_coordinate_is_inadmissible(self, primitive, dim):
+        sing = SingularSetDescriptor((primitive, BlowupTime(1.0)))
+        X = np.full((2, dim), 2.0)
+        X[1, 0] = np.nan
+        T = np.array([0.5, 0.5])
+        assert sing.admissible(X, T, 1e-3).tolist() == [True, False]
+        assert sing.admissible(X[:1], np.array([np.nan]), 1e-3).tolist() == [False]
 
     def test_boosted_line_follows_frame(self):
         line = MovingLine((0.0, 1.0), 0.0, 0.0).moved(C=np.array([0.0, 2.0]))
@@ -305,9 +342,10 @@ class TestPrimitiveParity:
         b = HALF_SPACES[case]
         X, T = _points(n, 3, seed=1)
         s = np.sum(X - (np.asarray(b.x0) + np.outer(T, np.asarray(b.vel))), axis=1)
-        assert _bits(b.distance(X, T)) == _bits(np.abs(s) / math.sqrt(3))
+        assert _bits(b.distance(X, T)) == _bits(s / math.sqrt(3))
+        sing = SingularSetDescriptor((b,))
         for radius in (0.01, 0.5):
-            assert np.array_equal(b.excludes(X, T, radius), s / math.sqrt(3) < radius)
+            assert np.array_equal(sing.admissible(X, T, radius), ~(s / math.sqrt(3) < radius))
 
 
 # name: (primitive, dimension of its points)
