@@ -262,7 +262,10 @@ class RateFit:
     """Norm-versus-time power-law fit approaching the blow-up time.
 
     Sample times are t_k = T (1 - 2^-k) for k = 1..K; the fit is plain
-    least squares of log norm against log (T - t_k).
+    least squares of log norm against log (T - t_k).  A time at which the
+    norm is exactly 0 (the field vanishes there) is left out; a norm that
+    is not finite, or negative, fails the fit, as do fewer than 6 times
+    left.
     """
 
     kind: str = "sup"  # "sup" | "lq"
@@ -336,9 +339,14 @@ def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> Fit
             norms = (annulus_lq_norm(sol, replace(spec, t=t)).value for t in ts)
     checked = []
     for t, nrm in zip(ts, norms):
-        if not (math.isfinite(nrm) and nrm > 0):
+        if not (math.isfinite(nrm) and nrm >= 0):
             raise FieldError(f"norm evaluation failed at t = {t}")
         checked.append(nrm)
+    if 0.0 in checked:  # the field vanishes there: log 0 says nothing about the rate
+        ts = [t for t, nrm in zip(ts, checked) if nrm != 0.0]
+        checked = [nrm for nrm in checked if nrm != 0.0]
+    if len(checked) < 6:
+        raise FieldError(f"rate fit needs 6 sample times with a nonzero norm, {len(checked)} remain")
     x = np.log([T - t for t in ts])
     y = np.log(checked)
     xm, ym = x.mean(), y.mean()

@@ -103,6 +103,15 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(8)
 
 
+@functools.cache
+def _grading(m: int):
+    """The exponents k/m, k = 0..m, of the graded panel edges a (b/a)^(k/m);
+    read-only, since every call shares them."""
+    powers = np.arange(m + 1) / m
+    powers.flags.writeable = False
+    return powers
+
+
 QUAD_MAX_PANELS = 1024
 ANGULAR_MAX_NODES = 2**10
 BISECT_MAX_LEVELS = 40
@@ -123,37 +132,59 @@ def _accept(est, prev, rows, values, abserr, epsrel, epsabs):
     return done
 
 
+def _node_sum(p):
+    """Sum over axis 0, the 8 Gauss nodes, in numpy's own pairwise order
+    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), by three whole-array
+    adds: ``sum`` over a short axis takes numpy's slow path.  numpy's sum
+    starts from +0.0, so the two differ only where negative zeros sum to
+    -0.0 here; both callers wash that sign out."""
+    p = p[0::2] + p[1::2]
+    p = p[0::2] + p[1::2]
+    return p[0] + p[1]
+
+
 def quad(func, a, b, *, epsrel: float, epsabs: float):
     """Integrals of ``func`` from ``a[i]`` to ``b[i]`` for every row i at once.
 
     ``func(x, rows)`` evaluates the integrand of rows ``rows`` (an index
-    array) at ``x``, an array with one line of nodes per row.  Each row uses
-    8-point Gauss-Legendre on m panels graded geometrically from a to b
-    (both > 0), starting at m = 8 and doubling, in one ``func`` call per
-    round over the rows still open, until |I_2m - I_m| <= max(epsabs,
-    epsrel |I_2m|) or the estimate is not finite.  A row still open after
-    QUAD_MAX_PANELS panels (a kink or an interior singularity) goes on with
-    ``_bisect`` on [a, b], with that tolerance at its last estimate; it
-    raises FieldError when the bisection cannot close the row either.  A
-    row's value does not depend on the other rows.  Returns ``(values,
-    abserr)``.
+    array) at the nodes ``x``, whose second-to-last axis runs over the rows,
+    so that a row's parameters broadcast as ``v[rows, None]``.  Each row
+    uses 8-point Gauss-Legendre on m panels graded geometrically from a to
+    b (both > 0), starting at m = 8 and doubling, until |I_2m - I_m| <=
+    max(epsabs, epsrel |I_2m|) or the estimate is not finite.  A round
+    evaluates the open rows in slices of at most ANGULAR_CHUNK nodes, one
+    ``func`` call each, so the working set does not grow with the row
+    count.  The nodes have shape (8, rows, m), node-major, so that
+    ``_node_sum`` adds whole blocks; the panels are summed with ``sum``.  A
+    row still open after QUAD_MAX_PANELS panels (a kink or an interior
+    singularity) goes on with ``_bisect`` on [a, b] (nodes of shape
+    (panels, 8)), with that tolerance at its last estimate; it raises
+    FieldError when the bisection cannot close the row either.  A row's
+    value does not depend on the other rows.  Returns ``(values, abserr)``.
     """
-    a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
+    if np.shape(a) != np.shape(b):
+        a, b = np.broadcast_arrays(a, b)
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    ratio = b / a
     values, abserr = np.empty(len(a)), np.full(len(a), np.inf)
     rows, prev, m = np.arange(len(a)), None, 8
-    nodes, weights = _gauss_legendre()
+    nodes, weights = (v[:, None, None] for v in _gauss_legendre())
     while len(rows):
-        edges = a[rows, None] * (b[rows] / a[rows])[:, None] ** (np.arange(m + 1) / m)
-        edges[:, -1] = b[rows]
-        mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
-        x = (mid[:, :, None] + half[:, :, None] * nodes).reshape(len(rows), -1)
-        f = np.broadcast_to(func(x, rows), x.shape).reshape(len(rows), m, 8)
-        est = ((f * weights).sum(axis=2) * half).sum(axis=1)
-        done = _accept(est, prev, rows, values, abserr, epsrel, epsabs)
-        rows, prev = rows[~done], est[~done]
+        est = np.empty(len(rows))
+        for s in _slices(len(rows), 8 * m):
+            edges = a[s, None] * ratio[s, None] ** _grading(m)
+            edges[:, -1] = b[s]
+            mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
+            x = mid + half * nodes  # (node, row, panel)
+            f = func(x, rows[s])
+            if np.shape(f) != x.shape:
+                f = np.broadcast_to(f, x.shape)
+            est[s] = (_node_sum(f * weights) * half).sum(axis=1)
+        keep = ~_accept(est, prev, rows, values, abserr, epsrel, epsabs)
+        rows, prev, a, b, ratio = (v[keep] for v in (rows, est, a, b, ratio))
         if len(rows) and m >= QUAD_MAX_PANELS:
             tol = np.maximum(epsabs, epsrel * np.abs(prev))
-            values[rows], abserr[rows] = _bisect(func, rows, a[rows], b[rows], tol,
+            values[rows], abserr[rows] = _bisect(func, rows, a, b, tol,
                                                  "radial quadrature")
             break
         m *= 2
@@ -226,7 +257,7 @@ def _bisect(func, rows, lo, hi, tol, what: str):
         est, wp = np.empty(len(a)), w[idx]
         for s in _slices(len(a), 8):
             f = func(a[s, None] + wp[s, None] * (nodes + 1.0) / 2.0, rows[idx[s]])
-            est[s] = (np.broadcast_to(f, (len(est[s]), 8)) * weights).sum(axis=1) * (wp[s] / 2)
+            est[s] = _node_sum((np.broadcast_to(f, (len(est[s]), 8)) * weights).T) * (wp[s] / 2)
         return est
 
     whole = gl(a, idx)

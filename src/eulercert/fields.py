@@ -378,7 +378,9 @@ class SolutionPair:
     velocity_jet: Callable  # (X, T) -> VelocityJet
     pressure_gradient: Callable  # (X, T) -> (N, dim)
     singular: SingularSetDescriptor
-    pressure_value: Optional[Callable] = None  # (X, T) -> (N,)
+    # (X, T) -> (N,); row i's bits depend on X[i] and T[i] alone, because
+    # the pressure panel evaluates all its shifted points in one call
+    pressure_value: Optional[Callable] = None
     pressure_cut_clearance: Optional[Callable] = None  # (X, T) -> (N,)
     velocity_jacobian: Optional[Callable] = None  # (X, T) -> (N, dim, dim)
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS

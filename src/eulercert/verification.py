@@ -373,11 +373,21 @@ def _fd_velocity_jet(sol: SolutionPair, X, T, steps, u):
 
 
 def _fd_pressure_gradient(sol: SolutionPair, X, T):
+    """4th-order stencil of the pressure value in each coordinate, from one
+    ``pressure_value`` call over all 4 * dim shifted copies of the points
+    (the shifts of ``_shifted``, axis by axis); a pressure value's rows are
+    independent, so each value is the one a call per shift returns."""
     hx, _ = _clearance_capped_steps(X, T, sol.singular.clearance(X, T), FD_STEP1,
                                     FD_CLEARANCE_FRACTION)
+    n, dim = X.shape
+    Xs = np.repeat(X[None], 4 * dim, axis=0)
+    for j in range(dim):
+        for i, m in enumerate((-2, -1, 1, 2)):
+            Xs[4 * j + i, :, j] = X[:, j] + m * hx[:, j]
+    p = sol.pressure_value(Xs.reshape(-1, dim), np.tile(T, 4 * dim)).reshape(dim, 4, n)
     grad = np.empty(X.shape)
-    for j in range(X.shape[1]):
-        grad[:, j] = _fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
+    for j in range(dim):
+        grad[:, j] = _fd1(p[j], hx[:, j])
     return grad
 
 

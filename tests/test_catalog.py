@@ -469,17 +469,36 @@ class TestRadialQuadrature:
     def test_row_value_independent_of_the_batch(self):
         # Rows converge after different numbers of refinements (the
         # frequency k grows with the row), so the batch shrinks as it goes.
+        # Round 1 (64 nodes a row) spans two row slices: rows 0-1023, 1024-.
         r = np.geomspace(0.05, 10.0, 1600)
         k = np.linspace(0.5, 60.0, 1600)
+        assert 1600 * 64 > catalog.ANGULAR_CHUNK
 
         def wave(rows):
             return lambda x, sub: x * np.cos(k[rows][sub, None] * x) ** 2
 
         full, full_err = catalog.quad(wave(np.arange(1600)), 1.0, r, **QUAD_TOL)
-        for i in (0, 737, 1599):
+        for i in (0, 737, 1023, 1024, 1599):
             one, one_err = catalog.quad(wave(np.array([i])), 1.0, r[i:i + 1], **QUAD_TOL)
             assert one.tobytes() == full[i:i + 1].tobytes()
             assert one_err.tobytes() == full_err[i:i + 1].tobytes()
+
+    def test_evaluation_in_slices_changes_no_value(self, monkeypatch):
+        r = np.geomspace(0.05, 10.0, 1600)
+        k = np.linspace(0.5, 60.0, 1600)
+        sizes = []
+
+        def wave(x, rows):
+            sizes.append(x.size)
+            return x * np.cos(k[rows, None] * x) ** 2
+
+        F, err = catalog.quad(wave, 1.0, r, **QUAD_TOL)
+        assert max(sizes) <= catalog.ANGULAR_CHUNK
+        sizes.clear()
+        monkeypatch.setattr(catalog, "ANGULAR_CHUNK", 2**30)
+        F_whole, err_whole = catalog.quad(wave, 1.0, r, **QUAD_TOL)
+        assert max(sizes) > 2**16
+        assert F_whole.tobytes() == F.tobytes() and err_whole.tobytes() == err.tobytes()
 
     def test_non_finite_integrand_returns_without_raising(self):
         with np.errstate(all="ignore"):
@@ -722,6 +741,60 @@ class TestRadialBisection:
     def test_unresolvable_row_names_the_radial_quadrature(self):
         with pytest.raises(FieldError, match="radial quadrature did not converge"):
             catalog.quad(lambda x, rows: np.abs(x - 1.5) ** -0.5, 1.0, [2.0], **QUAD_TOL)
+
+
+def _node_values(seed, shape):
+    """Random values of mixed signs whose decimal exponents are a row's own,
+    drawn across +-300, within +-2, so that how the terms associate shows
+    in the last bits; rows 1-3 hold a NaN, a +inf and a -inf, and row 4 is
+    all negative zeros."""
+    rng = np.random.default_rng(seed)
+    exponent = rng.integers(-300, 301, (shape[0],) + (1,) * (len(shape) - 1))
+    v = (rng.uniform(1.0, 10.0, shape) * 10.0 ** (exponent + rng.integers(-2, 3, shape))
+         * rng.choice([-1.0, 1.0], shape))
+    for i, special in enumerate([np.nan, np.inf, -np.inf][:len(v) - 1], start=1):
+        v[i].flat[rng.integers(v[i].size)] = special
+    v[4:5] = -0.0
+    return v
+
+
+class TestNodeSum:
+    """``_node_sum`` adds the 8 Gauss nodes in numpy's own pairwise order;
+    each caller's estimate must equal the ``sum`` it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m, rows", [(8, 1), (8, 3000), (16, 7), (64, 200), (256, 33),
+                                         (1024, 1), (1024, 40)])
+    def test_graded_panels_match_the_axis_sum(self, m, rows):
+        weights = catalog._gauss_legendre()[1]
+        f = _node_values(m + rows, (rows, m, 8))  # panel-major: (row, panel, node)
+        half = np.random.default_rng(rows).uniform(1e-3, 1.0, (rows, m))
+        with np.errstate(all="ignore"):
+            want = ((f * weights).sum(axis=2) * half).sum(axis=1)
+            node_major = np.ascontiguousarray(f.transpose(2, 0, 1))  # (node, row, panel)
+            got = (catalog._node_sum(node_major * weights[:, None, None]) * half).sum(axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("panels", [1, 4, 5, 6, 3000])
+    def test_bisection_panels_match_the_axis_sum(self, panels):
+        weights = catalog._gauss_legendre()[1]
+        f = _node_values(panels, (panels, 8))
+        wp = np.random.default_rng(panels).uniform(1e-3, 1.0, panels)
+        with np.errstate(all="ignore"):
+            want = (f * weights).sum(axis=1) * (wp / 2)
+            got = catalog._node_sum((f * weights).T) * (wp / 2)
+        # numpy's reduction starts from +0.0: negative zeros sum to +0.0 there
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+    def test_sign_of_a_zero_sum_is_washed_out(self):
+        def negative_zero(x, rows):
+            return np.full(x.shape, -0.0)
+
+        F, _ = catalog.quad(negative_zero, 1.0, [2.0], **QUAD_TOL)
+        B, _ = catalog._bisect(negative_zero, np.array([0]), np.array([1.0]), np.array([2.0]),
+                               np.array([1e-12]), "bisection")
+        assert F.tobytes() == B.tobytes() == np.zeros(1).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,17 @@ class TestBlowup:
         assert doc["blowup_time"] == tau
         assert doc["alpha"] == pytest.approx(-0.5, abs=1e-10)
 
+    def test_vanishing_time_is_left_out_of_the_samples(self, tmp_path, capsys):
+        # ex_2_6 with T = 2 vanishes at t = 1: K stays as asked, the samples
+        # show the times that were fitted
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"family": "preset", "preset": "ex_2_6", "params": {"T": 2.0}}))
+        code, out, _ = run(capsys, "blowup", str(p), "--K", "8")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["K"] == 8
+        assert [t for t, _ in doc["samples"]] == [2.0 * (1.0 - 2.0 ** -k) for k in range(2, 9)]
+
     def test_global_solution_reports_no_blowup(self, capsys):
         code, out, _ = run(capsys, "blowup", "ex_3_2")
         assert code == 1

@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eulercert.catalog import ij_vortex, linear3d, preset, preset_ids, twin_wave
+from eulercert.catalog import (
+    TransformSpec,
+    apply_transform,
+    ij_vortex,
+    linear3d,
+    preset,
+    preset_ids,
+    twin_wave,
+)
+from eulercert.cli import build_solution
 from eulercert.fields import (
     FieldError,
     InadmissiblePointError,
@@ -15,6 +24,9 @@ from eulercert.fields import (
     VelocityJet,
 )
 from eulercert.verification import (
+    FD_CLEARANCE_FRACTION,
+    FD_STEP1,
+    PRESSURE_FD_SUBSET,
     RegionError,
     SampleRegion,
     Tolerances,
@@ -27,8 +39,12 @@ from eulercert.verification import (
     sample_points,
     splitmix64_stream,
     vorticity_transport_residual,
+    _clearance_capped_steps,
+    _fd1,
+    _fd_pressure_gradient,
     _row_max,
     _sample_arrays,
+    _shifted,
     _splitmix64_block,
 )
 
@@ -420,3 +436,63 @@ class TestNonFiniteMetrics:
         sol = preset("ex_3_2")
         rep = certify(sol, default_region(sol, count=300, seed=0))
         assert "non_finite_points" not in rep.notes
+
+
+def _chained_vortex():
+    sol = apply_transform(preset("ex_2_5"), TransformSpec.rotation(0.7))
+    sol = apply_transform(sol, TransformSpec.rescale(1.5, 0.8))
+    return apply_transform(sol, TransformSpec.boost((0.3, -0.2)))
+
+
+# Pairs with a pressure value: the three vortex presets, a vortex under
+# rotate, rescale and boost, a vortex built from a spec document, and the
+# two 3D presets whose pressure value is closed-form.
+PRESSURE_PANEL_CASES = {
+    "ex_2_5": lambda: preset("ex_2_5"),
+    "ex_2_6": lambda: preset("ex_2_6"),
+    "ex_3_2": lambda: preset("ex_3_2"),
+    "rotated_rescaled_boosted": _chained_vortex,
+    "spec_ij_vortex": lambda: build_solution({
+        "family": "ij_vortex",
+        "params": {"c": "exp(-t) + 1/(T - t)", "h": "-1/r^2 + exp(-r^2)", "values": {"T": 1.5},
+                   "blowup_time": 1.5}}),
+    "ex_5_1_blowup": lambda: preset("ex_5_1_blowup"),
+    "ex_6_1": lambda: preset("ex_6_1"),
+}
+
+
+def _pressure_panel_points(sol, seed):
+    """The points ``certify`` hands the pressure panel."""
+    X, T = _sample_arrays(default_region(sol, count=2000, seed=seed), sol.singular,
+                          sol.exclusion_radius)
+    sel = np.arange(len(X))
+    if sol.pressure_cut_clearance is not None:
+        hmax = 2.5 * FD_STEP1 * np.maximum(1.0, np.abs(X).max(axis=1))
+        sel = sel[sol.pressure_cut_clearance(X, T) > 0.05 + 4.0 * hmax]
+    sel = sel[:PRESSURE_FD_SUBSET]
+    return X[sel], T[sel]
+
+
+class TestFusedPressurePanel:
+    """The pressure panel evaluates all 4 * dim shifted copies of its points
+    in one ``pressure_value`` call; each value must be the one a call per
+    shift returns."""
+
+    @pytest.mark.parametrize("case", sorted(PRESSURE_PANEL_CASES))
+    def test_matches_one_call_per_shift_bit_for_bit(self, case):
+        sol = PRESSURE_PANEL_CASES[case]()
+        X, T = _pressure_panel_points(sol, seed=3)
+        calls = []
+
+        def counting(Y, S):
+            calls.append(len(Y))
+            return sol.pressure_value(Y, S)
+
+        got = _fd_pressure_gradient(replace(sol, pressure_value=counting), X, T)
+        hx, _ = _clearance_capped_steps(X, T, sol.singular.clearance(X, T), FD_STEP1,
+                                        FD_CLEARANCE_FRACTION)
+        want = np.stack([_fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
+                         for j in range(X.shape[1])], axis=1)
+        assert len(X) == PRESSURE_FD_SUBSET
+        assert calls == [4 * X.shape[1] * len(X)]
+        assert got.tobytes() == want.tobytes()
