@@ -167,7 +167,7 @@ def _radial_norms(sol: SolutionPair, speed, spec: NormSpec, times) -> list:
     def integrand(r, rows):
         return 2.0 * math.pi * r * speed(r, ts[rows, None]) ** spec.q
 
-    vals, _ = catalog.quad(integrand, np.full(len(ts), spec.delta), finite_R,
+    vals, _ = catalog.quad(integrand, np.full(len(ts), spec.delta), np.full(len(ts), finite_R),
                            epsrel=1e-11, epsabs=1e-14)
     results = []
     for val, tail in zip(vals.tolist(), tails):

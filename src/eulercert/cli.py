@@ -17,6 +17,7 @@ import argparse
 import inspect
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import replace
@@ -105,19 +106,94 @@ class SpecError(ValueError):
     pass
 
 
+# SPEC_SCHEMA is checked by the walker below, not by jsonschema (~50 ms of
+# start-up), which the tests hold it to: it reads the keywords SPEC_SCHEMA uses
+# and ignores $schema and title.  JSON types: a bool is not a number, and True
+# is not 1 in enum and const.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number,
+               "null": type(None)}
+
+
+def _is_type(x, name: str) -> bool:
+    return isinstance(x, _JSON_TYPES[name]) and not isinstance(x, bool)
+
+
+def _schema_errors(x, schema: dict, path: tuple, out: list) -> list:
+    """``out`` with the errors of instance ``x`` under ``schema`` appended in
+    jsonschema's order (keyword by keyword, in the schema's order), each as
+    (path, keyword, message, whether x is of the schema's type, sub-errors)."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    fits = any(_is_type(x, t) for t in types)
+    for kw, v in schema.items():
+        messages, context = [], []
+        if kw == "type" and not fits:
+            messages = [f"{x!r} is not of type {', '.join(map(repr, types))}"]
+        elif kw in ("enum", "const") and not any(
+                x == e and isinstance(x, bool) == isinstance(e, bool)
+                for e in (v if kw == "enum" else [v])):
+            messages = [f"{x!r} is not one of {v!r}" if kw == "enum" else f"{v!r} was expected"]
+        elif kw == "properties" and isinstance(x, dict):
+            for k, sub in v.items():
+                if k in x:
+                    _schema_errors(x[k], sub, path + (k,), out)
+        elif kw == "required" and isinstance(x, dict):
+            messages = [f"{k!r} is a required property" for k in v if k not in x]
+        elif kw == "additionalProperties" and isinstance(x, dict):
+            extras = [k for k in x if k not in schema.get("properties", {})]
+            if isinstance(v, dict):
+                for k in extras:
+                    _schema_errors(x[k], v, path + (k,), out)
+            elif not v and extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                messages = [f"Additional properties are not allowed ({names} {verb} unexpected)"]
+        elif kw == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                _schema_errors(item, v, path + (i,), out)
+        elif kw == "minItems" and isinstance(x, list) and len(x) < v:
+            messages = [f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"]
+        elif kw == "maxItems" and isinstance(x, list) and len(x) > v:
+            messages = [f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"]
+        elif kw == "exclusiveMinimum" and _is_type(x, "number") and x <= v:
+            messages = [f"{x!r} is less than or equal to the minimum of {v!r}"]
+        elif kw == "anyOf":
+            # an error only when every subschema fails, with the context of
+            # jsonschema's loop, which stops at the first subschema x satisfies
+            found = [_schema_errors(x, sub, path, []) for sub in v]
+            if all(found):
+                context = [e for errors in found for e in errors]
+                messages = [f"{x!r} is not valid under any of the given schemas"]
+        out += [(path, kw, m, fits, context) for m in messages]
+    return out
+
+
+def _relevance(error):
+    # jsonschema.exceptions.relevance, less its constant "strong keyword" term
+    path, kw, _, fits, _ = error
+    return -len(path), path, kw != "anyOf", not fits
+
+
+def _best_error(x, schema: dict):
+    """The path ("a/0/b" or "<root>") and message of the error that
+    ``jsonschema.exceptions.best_match`` picks, or None if ``x`` is valid:
+    the most relevant error, then down anyOf sub-errors while the top two differ."""
+    best = max(_schema_errors(x, schema, (), []), key=_relevance, default=None)
+    while best is not None and best[4]:
+        smallest = sorted(best[4], key=_relevance)[:2]
+        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
+            break
+        best = smallest[0]
+    return None if best is None else ("/".join(map(str, best[0])) or "<root>", best[2])
+
+
 def validate_spec(doc: dict):
-    # imported here: only spec files need it, and it costs ~80 ms of start-up
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover
-        raise SpecError("jsonschema is required to validate solution-spec files") from None
-    # jsonschema.validate minus its metaschema check of SPEC_SCHEMA, a constant
-    # that tests/test_cli.py checks once
-    validator = jsonschema.validators.validator_for(SPEC_SCHEMA)(SPEC_SCHEMA)
-    e = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if e is not None:
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise SpecError(f"spec file invalid at {path}: {e.message}")
+    """Raise SpecError with the path and message of the error that
+    ``jsonschema.validate(doc, SPEC_SCHEMA)`` raises, or for a preset
+    document without its 'preset' key."""
+    error = _best_error(doc, SPEC_SCHEMA)
+    if error is not None:
+        raise SpecError("spec file invalid at %s: %s" % error)
     if doc["family"] == "preset" and "preset" not in doc:
         raise SpecError("family 'preset' requires a 'preset' key")
 
@@ -173,12 +249,16 @@ def build_solution(doc: dict) -> SolutionPair:
 
 def load_spec_file(path: str) -> SolutionPair:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise SpecError(f"cannot read spec file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SpecError(f"spec file is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"spec file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SpecError("spec file is not valid JSON: it nests too deeply to parse") from None
     return build_solution(doc)
 
 

@@ -1,11 +1,14 @@
 import contextlib
+import copy
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from eulercert.cli import (
     SPEC_SCHEMA,
     SpecError,
+    _best_error,
     build_solution,
     main,
     solution_spec_for_preset,
@@ -420,6 +424,152 @@ class TestSchemaRoundTrip:
         assert str(exc.value) == f"spec file invalid at {path}: {ref.value.message}"
 
 
+@functools.lru_cache(maxsize=None)
+def _exported(pid):
+    return json.dumps(solution_spec_for_preset(pid))
+
+
+# an argv placeholder for ex_3_10's exported spec file
+_EXPORTED_SPEC = "<spec.json>"
+
+
+def _write_exported(tmp_path):
+    path = tmp_path / "ex_3_10.json"
+    path.write_text(_exported("ex_3_10"))
+    return str(path)
+
+
+# keys and values a spec document may hold, or nearly hold
+_SPEC_KEYS = ["format_version", "name", "family", "preset", "params", "transforms", "overrides",
+              "c", "h", "v", "f", "c1", "C", "sigma", "T", "x0", "pressure_sign", "values",
+              "singular_xi", "blowup_time", "exclusion_radius", "kind", "velocity", "angle",
+              "lam", "tau", "box", "time", "bogus"]
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
+        st.sampled_from(["", "x", "1", "1/(T - t)", "boost", "rescale", "preset", "ij_vortex",
+                         "ex_2_5"]),
+        st.sampled_from([[0.5, -2.0], [1, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
+                         [[1, 0], [0, 1, 0], [0, 0, -1]], [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+                         {"kind": "boost", "velocity": [1]},
+                         {"kind": "rescale", "lam": 0, "tau": 1}]).map(copy.deepcopy)),
+    lambda values: st.one_of(st.lists(values, max_size=4),
+                             st.dictionaries(st.sampled_from(_SPEC_KEYS), values, max_size=3)),
+    max_leaves=6)
+
+
+def _containers(x, found):
+    if isinstance(x, (dict, list)):
+        found.append(x)
+        for v in x.values() if isinstance(x, dict) else x:
+            _containers(v, found)
+    return found
+
+
+@st.composite
+def _mutated_specs(draw):
+    """A preset's exported spec document with up to four edits anywhere in
+    it: a value replaced, a key or item removed, or one added; now and then
+    a JSON value that is not a document at all."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(_JSON_VALUES)
+    doc = json.loads(_exported(draw(st.sampled_from(preset_ids()))))
+    for _ in range(draw(st.integers(0, 4))):
+        node = draw(st.sampled_from(_containers(doc, [])))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(["set", "delete", "add"]))
+        if edit == "set" and keys:
+            node[draw(st.sampled_from(keys))] = draw(_JSON_VALUES)
+        elif edit == "delete" and keys:
+            del node[draw(st.sampled_from(keys))]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_SPEC_KEYS))] = draw(_JSON_VALUES)
+        else:
+            node.append(draw(_JSON_VALUES))
+    return doc
+
+
+# A schema and an instance it rejects, for each keyword the walker reads.
+_KEYWORD_CASES = {
+    "type": [({"type": "number"}, True), ({"type": ["string", "null"]}, 1.5),
+             ({"type": "object"}, [])],
+    "enum": [({"enum": [1, -1]}, True), ({"enum": [1, -1]}, 0.5), ({"enum": ["a"]}, ["a"])],
+    "const": [({"const": 1}, True), ({"const": 1}, "1")],
+    "properties": [({"properties": {"a": {"type": "string"}, "b": {"const": 1}}},
+                    {"b": 2, "a": 1})],
+    "required": [({"required": ["a", "b"]}, {})],
+    "additionalProperties": [({"additionalProperties": False}, {"b": 1, 2: 1}),
+                             ({"properties": {"a": {}}, "additionalProperties": False},
+                              {"a": 1, "b": 2}),
+                             ({"additionalProperties": {"type": "number"}}, {"a": 1, "b": "x"})],
+    "items": [({"items": {"type": "number"}}, [1, "x", None])],
+    "minItems": [({"minItems": 1}, []), ({"minItems": 3}, [1])],
+    "maxItems": [({"maxItems": 0}, [1]), ({"maxItems": 2}, [1, 2, 3])],
+    "exclusiveMinimum": [({"exclusiveMinimum": 0}, 0), ({"exclusiveMinimum": 0}, -0.5)],
+    "anyOf": [({"anyOf": [{"type": "string"}, {"minItems": 2}]}, [1]),
+              ({"anyOf": [{"type": "array", "items": {"type": "number"}}, {"type": "string"}]},
+               ["x"]),
+              ({"anyOf": [{"type": "string"}, {"type": "number"}]}, None)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_validator():
+    import jsonschema
+
+    return jsonschema.validators.validator_for(SPEC_SCHEMA)(SPEC_SCHEMA)
+
+
+class TestSchemaWalker:
+    """validate_spec walks SPEC_SCHEMA itself; jsonschema is its oracle."""
+
+    @given(doc=_mutated_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_message_are_those_of_jsonschema_validate(self, doc):
+        import jsonschema
+
+        # jsonschema.validate without its 16 ms metaschema check of
+        # SPEC_SCHEMA, which test_spec_schema_is_valid_under_its_metaschema makes
+        ref = jsonschema.exceptions.best_match(_spec_validator().iter_errors(doc))
+        if ref is not None:
+            path = "/".join(str(p) for p in ref.absolute_path) or "<root>"
+            expected = f"spec file invalid at {path}: {ref.message}"
+        elif doc["family"] == "preset" and "preset" not in doc:
+            expected = "family 'preset' requires a 'preset' key"
+        else:
+            expected = None
+        try:
+            validate_spec(doc)
+        except SpecError as e:
+            assert str(e) == expected
+        else:
+            assert expected is None
+
+    @pytest.mark.parametrize("schema, instance", [
+        case for cases in _KEYWORD_CASES.values() for case in cases])
+    def test_keyword_picks_the_best_match_of_jsonschema(self, schema, instance):
+        import jsonschema
+
+        validator = jsonschema.Draft202012Validator(schema)
+        ref = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+        path = "/".join(str(p) for p in ref.absolute_path) or "<root>"
+        assert _best_error(instance, schema) == (path, ref.message)
+        assert _best_error(instance, {}) is None
+
+    def test_spec_schema_uses_only_keywords_the_walker_reads(self):
+        met = set()
+
+        def walk(schema):
+            met.update(schema)
+            for sub in [*schema.get("properties", {}).values(), *schema.get("anyOf", []),
+                        *(schema[k] for k in ("items", "additionalProperties")
+                          if isinstance(schema.get(k), dict))]:
+                walk(sub)
+
+        walk(SPEC_SCHEMA)
+        assert met <= set(_KEYWORD_CASES) | {"$schema", "title"}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -517,6 +667,19 @@ class TestSpecInputErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "spec file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                        "in position 0: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000,
+         "spec file is not valid JSON: it nests too deeply to parse"),
+    ], ids=["not utf-8", "too deep"])
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, content, message):
+        p = tmp_path / "spec.json"
+        p.write_bytes(content)
+        code, out, err = run(capsys, "certify", str(p), "--samples", "300")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert "Traceback" not in err
 
     def test_preset_boost_is_a_two_vector(self, tmp_path, capsys):
         # ex_3_2's C is its boost velocity, not a strain matrix
@@ -662,6 +825,22 @@ class TestContract:
         if out.getvalue() and argv[-1] != "--format=table":
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
+    @given(doc=_mutated_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_spec_file_exit_code_and_output(self, doc):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["certify", path, "--samples", "50"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() == "") == (code == 2)
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
 
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
@@ -669,8 +848,8 @@ class TestImports:
                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.stdout.strip() == "[]"
 
-    # Start-up cost: jsonschema is loaded by spec files only, numpy.polynomial
-    # by catalog.quad only, and no command loads scipy.
+    # Start-up cost: no command loads jsonschema, not even for a spec file,
+    # numpy.polynomial is loaded by catalog.quad only, and scipy by none.
     @pytest.mark.parametrize("argv", [
         ["list"],
         ["certify", "ex_3_10", "--samples", "200"],
@@ -678,8 +857,10 @@ class TestImports:
         ["blowup", "ex_2_6"],
         ["probe", "--mode", "affine", "--v1", "x", "--v2", "x"],
         ["norm", "ex_3_2", "--subtract-boost"],
-    ], ids=lambda a: a[0])
-    def test_command_loads_no_heavy_module(self, argv):
+        ["certify", _EXPORTED_SPEC, "--samples", "200"],
+    ], ids=lambda a: "certify <spec.json>" if _EXPORTED_SPEC in a else a[0])
+    def test_command_loads_no_heavy_module(self, argv, tmp_path):
+        argv = [_write_exported(tmp_path) if a == _EXPORTED_SPEC else a for a in argv]
         loaded = _modules_after(argv)
         assert loaded["code"] == 0
         assert loaded["heavy"] == []
@@ -754,7 +935,23 @@ class TestImports:
         assert loaded["stdout"] == ""
         assert loaded["stderr"] == ("error: spec file invalid at <root>: Additional properties "
                                     "are not allowed ('unknown_key' was unexpected)\n")
-        assert "jsonschema" in loaded["heavy"]
+        assert "jsonschema" not in loaded["heavy"]
+
+    def test_spec_files_need_no_jsonschema(self, tmp_path):
+        blocked = "import sys\nsys.modules['jsonschema'] = None\n" + _MODULES_AFTER
+        valid = json.loads(_fresh_python(
+            blocked, "certify", _write_exported(tmp_path), "--samples", "200").stdout)
+        sol = preset("ex_3_10")
+        report = certify(sol, default_region(sol, count=200)).to_dict()
+        assert (valid["code"], valid["stderr"]) == (0, "")
+        assert valid["stdout"] == json.dumps(report, indent=2) + "\n"
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "ij_vortex",
+                                 "params": {"c": "1"}, "unknown_key": True}))
+        malformed = json.loads(_fresh_python(blocked, "certify", str(p)).stdout)
+        assert (malformed["code"], malformed["stdout"]) == (2, "")
+        assert malformed["stderr"] == ("error: spec file invalid at <root>: Additional properties "
+                                       "are not allowed ('unknown_key' was unexpected)\n")
 
 
 _MODULES_AFTER = """

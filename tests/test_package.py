@@ -1,9 +1,12 @@
 """The package namespace: every exported name, loaded lazily from its layer."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,21 @@ def test_layer_resolves_after_a_bare_import():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["eulercert.verification", "0.1.0"]
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every import, lazy ones in functions included: a test-only package
+    # (jsonschema, scipy, mpmath, sympy) imported at run time fails here
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    package = Path(eulercert.__file__).parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"eulercert"}
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert imported == {re.match(r"[\w.-]+", d).group().replace("-", "_") for d in dependencies}
