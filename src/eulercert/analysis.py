@@ -26,7 +26,6 @@ from .fields import (
     MovingLine,
     SingularSetDescriptor,
     SolutionPair,
-    phase_field_jet,
     row_norm,
 )
 from .verification import SampleRegion, _residual_batch, _divergence_batch, _sample_arrays
@@ -390,26 +389,18 @@ def _affine_solution(v1: ExprAst, v2: ExprAst, c1: float, c2: float,
     """Field depending on space-time only through eta = (x1-c1 t)/(x2-c2 t),
     with x-independent pressure."""
 
-    def velocity_jet(X, T):
+    def phase(X, T):
         a = X[:, 0] - c1 * T
         b = X[:, 1] - c2 * T
         if np.any(b == 0.0):
             raise FieldError("affine ansatz is singular on the line x2 = c2 t")
         eta = a / b
-        seed = Jet2.variable(eta)
-        profiles = (eval_jet(v1, seed, params), eval_jet(v2, seed, params))
         # grad eta = (1/b, -a/b^2), lap eta = 2a/b^3, d_t eta = (c2 eta - c1)/b
-        return phase_field_jet(len(X), profiles, (1.0, 1.0), None, (1.0 / b, -a / (b * b)),
-                               2.0 * a / (b * b * b), (-c1 + c2 * eta) / b)
+        return eta, (1.0 / b, -a / (b * b)), 2.0 * a / (b * b * b), (-c1 + c2 * eta) / b
 
-    singular = SingularSetDescriptor(primitives=(MovingLine((0.0, 1.0), 0.0, c2),))
-    return SolutionPair(
-        dimension=2,
-        viscosity=0.0,
-        velocity=lambda X, T: velocity_jet(X, T).value,
-        velocity_jet=velocity_jet,
-        pressure_gradient=lambda X, T: np.zeros((len(X), 2)),
-        singular=singular,
+    return catalog._phase_pair(
+        (v1, v2), params, (1.0, 1.0), None, phase,
+        singular=SingularSetDescriptor(primitives=(MovingLine((0.0, 1.0), 0.0, c2),)),
         metadata={"name": "affine_probe", "family": "affine_probe", "transform_chain": []},
     )
 
@@ -469,17 +460,8 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
         raise FieldError("could not evaluate the profiles at any reference phase")
     speed = c3 * c1 - (c2 + offset)
 
-    def velocity_jet(X, T):
-        seed = Jet2.variable(c3 * X[:, 0] - X[:, 1] - speed * T)
-        return phase_field_jet(len(X), (eval_jet(p1, seed, params), eval_jet(p2, seed, params)),
-                               (1.0, 1.0), (c1, c2), (c3, -1.0), None, -speed)
-
-    sol = SolutionPair(
-        dimension=2,
-        viscosity=0.0,
-        velocity=lambda X, T: velocity_jet(X, T).value,
-        velocity_jet=velocity_jet,
-        pressure_gradient=lambda X, T: np.zeros((len(X), 2)),
+    sol = catalog._phase_pair(
+        (p1, p2), params, (1.0, 1.0), (c1, c2), catalog._wave_phase(c3, speed),
         singular=SingularSetDescriptor(),
         metadata={"name": "twin_wave_form_check", "family": "twin_wave_probe",
                   "transform_chain": []},

@@ -423,8 +423,53 @@ def ij_vortex(
 
 
 # ---------------------------------------------------------------------------
-# Traveling-wave family
+# Fields of one scalar phase: traveling waves and the analysis probes
 # ---------------------------------------------------------------------------
+
+
+def _wave_phase(c3: float, speed: float):
+    """The traveling-wave phase xi = c3 x1 - x2 - speed t, linear in x."""
+    return lambda X, T: (c3 * X[:, 0] - X[:, 1] - speed * T, (c3, -1.0), None, -speed)
+
+
+def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> SolutionPair:
+    """Inviscid planar pair u_i = a_i V_i(eta) + c_i of one phase, zero pressure:
+    ``profiles`` is one shared AST or a tuple of two; ``coeffs``, ``offsets``
+    and ``phase(X, T) -> (eta, grad, lap, dt)`` are as ``phase_field_jet``
+    takes them.  ``velocity`` compiles the profiles on first use (a probe reads
+    only jets) and folds a_i and c_i as the jet does: it is the jet's value bit
+    for bit.  Errors come in the order phase, profile 1, profile 2."""
+    asts = profiles if isinstance(profiles, tuple) else (profiles,)
+    reals = functools.cache(lambda: [compile_real(ast, params) for ast in asts])
+
+    def both(values):  # a shared profile is evaluated once, for both components
+        return values if len(values) == 2 else values * 2
+
+    def jets(X, T, order):
+        eta, grad, lap, dt = phase(X, T)
+        seed = Jet2.variable(eta, order=order)
+        return both([eval_jet(ast, seed, params) for ast in asts]), grad, lap, dt
+
+    def velocity(X, T):
+        eta = phase(X, T)[0]
+        value = np.empty((len(X), 2))
+        for i, (v, a) in enumerate(zip(both([f(eta) for f in reals()]), coeffs)):
+            v = v if a == 1.0 else a * v
+            value[:, i] = v if offsets is None else v + offsets[i]
+        return value
+
+    def velocity_jet(X, T):
+        profile_jets, grad, lap, dt = jets(X, T, 2)
+        return phase_field_jet(len(X), profile_jets, coeffs, offsets, grad, lap, dt)
+
+    def velocity_jacobian(X, T):
+        profile_jets, grad, _, _ = jets(X, T, 1)
+        return phase_jacobian(len(X), profile_jets, coeffs, grad)
+
+    return SolutionPair(dimension=2, viscosity=0.0, velocity=velocity, velocity_jet=velocity_jet,
+                        velocity_jacobian=velocity_jacobian,
+                        pressure_gradient=lambda X, T: np.zeros((len(X), 2)),
+                        pressure_value=lambda X, T: np.zeros(len(X)), **pair)
 
 
 def twin_wave(
@@ -447,36 +492,8 @@ def twin_wave(
     params = dict(params or {})
     v_ast = _as_ast(v, "x")
     _require_params(v_ast, params, "v(xi)")
-    v_real = compile_real(v_ast, params)
     speed = c3 * c1 - c2
-
-    def _xi(X, T):
-        return c3 * X[:, 0] - X[:, 1] - speed * T
-
-    def velocity(X, T):
-        val = v_real(_xi(X, T))
-        val = np.broadcast_to(np.asarray(val, dtype=float), (len(X),))
-        return np.stack([val + c1, c3 * val + c2], axis=1)
-
-    def velocity_jet(X, T):
-        jet = eval_jet(v_ast, Jet2.variable(_xi(X, T)), params)
-        return phase_field_jet(len(X), (jet, jet), (1.0, c3), (c1, c2), (c3, -1.0), None, -speed)
-
-    def velocity_jacobian(X, T):
-        jet = eval_jet(v_ast, Jet2.variable(_xi(X, T), order=1), params)
-        return phase_jacobian(len(X), (jet, jet), (1.0, c3), (c3, -1.0))
-
-    def pressure_gradient(X, T):
-        return np.zeros((len(X), 2))
-
-    def pressure_val(X, T):
-        return np.zeros(len(X))
-
-    primitives = tuple(
-        MovingLine((c3, -1.0), float(off), speed) for off in singular_offsets
-    )
-    singular = SingularSetDescriptor(primitives=primitives)
-
+    lines = tuple(MovingLine((c3, -1.0), float(off), speed) for off in singular_offsets)
     metadata = {
         "name": name,
         "family": "twin_wave",
@@ -487,18 +504,9 @@ def twin_wave(
         "default_time": (0.0, 1.0),
         "transform_chain": [],
     }
-    return SolutionPair(
-        dimension=2,
-        viscosity=0.0,
-        velocity=velocity,
-        velocity_jet=velocity_jet,
-        velocity_jacobian=velocity_jacobian,
-        pressure_gradient=pressure_gradient,
-        pressure_value=pressure_val,
-        singular=singular,
-        exclusion_radius=exclusion_radius,
-        metadata=metadata,
-    )
+    return _phase_pair(v_ast, params, (1.0, c3), (c1, c2), _wave_phase(c3, speed),
+                       singular=SingularSetDescriptor(lines),
+                       exclusion_radius=exclusion_radius, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

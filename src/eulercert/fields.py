@@ -59,7 +59,6 @@ __all__ = [
     "SingularSetDescriptor",
     "SolutionPair",
     "DEFAULT_EXCLUSION_RADIUS",
-    "row_sum",
     "row_norm",
     "row_max",
     "radial_jacobian",
@@ -160,15 +159,6 @@ def _fold_norm(columns) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def row_sum(A: np.ndarray) -> np.ndarray:
-    """``A.sum(axis=1)`` for a 2-D ``A`` with a few columns, without numpy's
-    slow reduction over a short trailing axis: the columns are folded left
-    to right, ((a0 + a1) + a2), which is numpy's order below 8 columns.  Same
-    values, NaN and inf included; only a row of -0.0 differs, summing to -0.0
-    here and to 0.0 in numpy."""
-    return _fold_sum(A.T)
-
-
 def row_norm(A: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(A, axis=1)`` for a 2-D ``A`` with a few columns,
     without numpy's slow reduction over a short trailing axis:
@@ -233,7 +223,7 @@ class MovingPoint:
 
 @dataclass(frozen=True)
 class MovingLine:
-    """Line {a.x = b0 + b1*t} with unit normal a; optionally pressure-only."""
+    """Line {a.x = b0 + b1*t} with unit normal a."""
 
     normal: tuple
     b0: float

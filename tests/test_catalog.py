@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eulercert import catalog
+from eulercert.analysis import _affine_solution
 from eulercert.catalog import (
     TransformSpec,
     apply_transform,
@@ -416,11 +417,10 @@ class TestVelocityJacobian:
         assert preset(pid).velocity_jacobian is None
 
     def test_pair_without_it_has_the_same_vorticity(self):
-        from eulercert.analysis import _affine_solution
         from eulercert.fields import vorticity_batch
 
         affine = _affine_solution(parse("1/(1+x^2)", "x"), parse("x", "x"), 0.3, 1.0, {})
-        assert affine.velocity_jacobian is None
+        affine = replace(affine, velocity_jacobian=None)
         X, T = _samples(affine)
         jac = affine.velocity_jet(X, T).jacobian
         assert np.array_equal(vorticity_batch(affine, X, T), jac[:, 1, 0] - jac[:, 0, 1])
@@ -870,6 +870,35 @@ def _old_linear3d_velocity(sol, f, params, X, T):
 SHEAR_C = [[0.5, 0.3, -0.2], [0.3, -1.1, 0.4], [-0.2, 0.4, 0.6]]  # symmetric, trace free
 
 
+def _form_check_pair(u1, u2, c1, c2, c3):
+    """The pair that ``twin_wave_form_check`` probes, caught on its way to
+    ``_probe_sup``."""
+    from eulercert import analysis
+
+    seen = []
+
+    def record(sol, *args, **kwargs):
+        seen.append(sol)
+        return analysis.ProbeResult(0.0, 0, "")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_probe_sup", record)
+        analysis.twin_wave_form_check(u1, u2, c1, c2, c3)
+    return seen[0]
+
+
+# The pairs of one scalar phase: a wave with c3 != 1, a constant profile
+# (``compile_real`` returns a float), the affine probe's eta = a/b (the one
+# phase with a Laplacian) and the form check's two profiles.
+PHASE_PAIRS = {
+    "twin_wave": lambda: twin_wave("sin(x)/(2 + cos(x))", c1=0.5, c2=-1.0, c3=2.5),
+    "constant": lambda: twin_wave("2.5", c1=0.3, c2=-0.7, c3=-1.5),
+    "affine": lambda: _affine_solution(parse("sin(x)", "x"), parse("1/(1+x^2)", "x"),
+                                       0.3, 1.0, {}),
+    "form_check": lambda: _form_check_pair("1/(1+x^2)", "x^2 - x", 0.5, 0.2, 3.0),
+}
+
+
 class TestColumnEvaluatorParity:
     @pytest.mark.parametrize("n", [1, 10_000])
     def test_half_space_off_origin(self, n):
@@ -906,3 +935,12 @@ class TestColumnEvaluatorParity:
         sol = linear3d(f, np.array(SHEAR_C), params=params, blowup_time=blowup)
         X, T = _samples(sol, n, seed=7)
         assert _bits(sol.velocity(X, T)) == _bits(_old_linear3d_velocity(sol, f, params, X, T))
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize("name", sorted(PHASE_PAIRS))
+    def test_phase_pair_values_and_jacobian_are_the_jets(self, name, n):
+        sol = PHASE_PAIRS[name]()
+        X, T = _samples(sol, n, seed=8)
+        jet = sol.velocity_jet(X, T)
+        assert _bits(sol.velocity(X, T)) == _bits(jet.value)
+        assert _bits(sol.velocity_jacobian(X, T)) == _bits(jet.jacobian)

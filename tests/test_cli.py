@@ -804,15 +804,44 @@ _CERTIFY_ARGV = st.builds(
 _LIST_ARGV = st.sampled_from(["json", "table", "xml", "JSON", ""]).map(
     lambda fmt: ["list", f"--format={fmt}"])
 
+# Profiles from the expression grammar: numbers, the variable, an unknown
+# identifier, the six functions, and powers with integer, large and
+# non-integer exponents.
+_PROFILE = st.recursive(
+    st.sampled_from(["x", "q", "0", "2.5", "1e308"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format,
+                  st.sampled_from(["exp", "ln", "sqrt", "sin", "cos", "atan"]), inner),
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(["2", "-3", "400", "0.5", "(-1.5)"])),
+    ),
+    max_leaves=6,
+)
+_PROBE_NUMBER = st.sampled_from(["0", "-0", "0.5", "nan", "inf", "-inf", "1e308"])
+_PROBE_ARGV = st.builds(
+    lambda mode, p1, p2, cs, box, tmax, samples: [
+        "probe", f"--mode={mode}",
+        *([f"--v1={p1}", f"--v2={p2}"] if mode == "affine" else [f"--u1={p1}", f"--u2={p2}"]),
+        *(f"--{name}={value}" for name, value in cs.items()),
+        *box, *tmax, f"--samples={samples}"],
+    st.sampled_from(["affine", "twinwave"]),
+    _PROFILE,
+    _PROFILE,
+    st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), _PROBE_NUMBER),
+    st.one_of(st.just([]), st.lists(st.sampled_from(["-2", "0", "1", "2", "nan", "1e308"]),
+                                    min_size=4, max_size=4).map(lambda b: ["--box", *b])),
+    st.one_of(st.just([]), _PROBE_NUMBER.map(lambda t: [f"--tmax={t}"])),
+    st.sampled_from([1, 50]),
+)
+
 
 class TestContract:
     """Whatever the flags: exit code 0, 1 or 2, no traceback, and stdout
     either empty (exit 2) or the command's document; the document is strict
     JSON except for the text table of ``list --format table``."""
 
-    @given(argv=st.one_of(_CERTIFY_ARGV, _LIST_ARGV))
-    @settings(max_examples=25, deadline=None)
-    def test_exit_code_and_output(self, argv):
+    @staticmethod
+    def assert_contract(argv, strict_json=True):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -822,8 +851,18 @@ class TestContract:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert (out.getvalue() == "") == (code == 2)
-        if out.getvalue() and argv[-1] != "--format=table":
+        if out.getvalue() and strict_json:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    @given(argv=st.one_of(_CERTIFY_ARGV, _LIST_ARGV))
+    @settings(max_examples=25, deadline=None)
+    def test_exit_code_and_output(self, argv):
+        self.assert_contract(argv, strict_json=argv[-1] != "--format=table")
+
+    @given(argv=_PROBE_ARGV)
+    @settings(max_examples=25, deadline=None)
+    def test_probe_exit_code_and_output(self, argv):
+        self.assert_contract(argv)
 
     @given(doc=_mutated_specs())
     @settings(max_examples=25, deadline=None)

@@ -23,7 +23,6 @@ from eulercert.fields import (
     radial_field_jet,
     row_max,
     row_norm,
-    row_sum,
     vorticity,
 )
 from eulercert.verification import SampleRegion, certify, default_region, sample_points
@@ -267,7 +266,7 @@ class TestRowReductions:
     @settings(max_examples=150, deadline=None)
     def test_row_sum(self, A):
         with np.errstate(all="ignore"):
-            assert np.array_equal(row_sum(A), A.sum(axis=1), equal_nan=True)
+            assert np.array_equal(fields._fold_sum(A.T), A.sum(axis=1), equal_nan=True)
 
     @given(A=row_arrays)
     @settings(max_examples=150, deadline=None)
@@ -288,7 +287,7 @@ class TestRowReductions:
         elif layout == "strided":
             A = A[::2]
         before = A.copy()
-        assert row_sum(A).tobytes() == A.sum(axis=1).tobytes()
+        assert fields._fold_sum(A.T).tobytes() == A.sum(axis=1).tobytes()
         assert row_norm(A).tobytes() == np.linalg.norm(A, axis=1).tobytes()
         assert row_max(A).tobytes() == A.max(axis=1).tobytes()
         assert np.array_equal(A, before)
