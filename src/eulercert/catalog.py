@@ -286,6 +286,12 @@ def _bisect(func, rows, lo, hi, tol, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _inverse_square(r):
+    """1 / (r r) in one new array."""
+    out = np.multiply(r, r)
+    return np.divide(1.0, out, out=out)
+
+
 def ij_vortex(
     c: ExprLike,
     h: ExprLike,
@@ -318,32 +324,50 @@ def ij_vortex(
         time-derivative coefficient c'(t)."""
         cjet = eval_jet(c_ast, Jet2.variable(T, order), params)
         hjet = eval_jet(h_ast, Jet2.variable(r, order), params)
-        ir2 = 1.0 / (r * r)
-        g = Jet2(
-            cjet.value * ir2 + hjet.value,
-            -2.0 * cjet.value * ir2 / r + hjet.d1,
-            None if hjet.d2 is None else 6.0 * cjet.value * ir2 * ir2 + hjet.d2,
-        )
-        return g, cjet.d1
+        cv, ir2 = cjet.value, _inverse_square(r)
+        value = np.multiply(cv, ir2)
+        value += hjet.value  # c / r^2 + h
+        d1 = np.multiply(-2.0, cv, out=np.empty_like(r))
+        d1 *= ir2
+        d1 /= r
+        d1 += hjet.d1  # -2 c / r^3 + h'
+        d2 = None
+        if hjet.d2 is not None:
+            d2 = np.multiply(6.0, cv, out=np.empty_like(r))
+            d2 *= ir2
+            d2 *= ir2
+            d2 += hjet.d2  # 6 c / r^4 + h''
+        return Jet2(value, d1, d2), cjet.d1
 
     def _radius(X):
-        r2 = X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1]
-        if np.any(r2 == 0.0):
+        r = np.multiply(X[:, 0], X[:, 0])
+        r += np.multiply(X[:, 1], X[:, 1])
+        if not r.all():
             raise InadmissiblePointError("vortex field is singular at r = 0")
-        return np.sqrt(r2)
+        return np.sqrt(r, out=r)
+
+    def _rotated(g, X):
+        """(g x2, -g x1); overwrites ``g``."""
+        u = np.empty((len(X), 2))
+        np.multiply(g, X[:, 1], out=u[:, 0])
+        np.negative(g, out=g)
+        np.multiply(g, X[:, 0], out=u[:, 1])
+        return u
 
     def velocity(X, T):
         r = _radius(X)
-        g = c_real(T) * (1.0 / (r * r)) + h_real(r)  # the value of _g_jet's g
-        return np.stack([g * X[:, 1], -g * X[:, 0]], axis=1)
+        ir2 = _inverse_square(r)
+        g = np.multiply(c_real(T), ir2, out=ir2)
+        g += h_real(r)  # the value of _g_jet's g
+        return _rotated(g, X)
 
     def velocity_jet(X, T):
         r = _radius(X)
         g, cdot = _g_jet(r, T)
         value, jac, lap = radial_field_jet(g, X, r)
-        gt = cdot / (r * r)
-        dt = np.stack([gt * X[:, 1], -gt * X[:, 0]], axis=1)
-        return VelocityJet(value, jac, lap, dt)
+        gt = np.multiply(r, r)
+        np.divide(cdot, gt, out=gt)
+        return VelocityJet(value, jac, lap, _rotated(gt, X))
 
     def velocity_jacobian(X, T):
         r = _radius(X)
@@ -363,8 +387,13 @@ def ij_vortex(
         """|u| as a function of radius and time: |g(r,t)| * r, with ``t`` a
         number or an array that broadcasts against ``r``."""
         r = np.asarray(r, dtype=float)
-        gval = c_real(np.asarray(t, dtype=float)) / (r * r) + h_real(r)
-        return np.abs(gval) * r
+        gval = c_real(np.asarray(t, dtype=float)) / (r * r)
+        if not isinstance(gval, np.ndarray):  # a number for a scalar r and t
+            return np.abs(gval + h_real(r)) * r
+        gval += h_real(r)
+        np.abs(gval, out=gval)
+        gval *= r
+        return gval
 
     def pressure_val(X, T):
         n = len(X)
@@ -429,7 +458,12 @@ def ij_vortex(
 
 def _wave_phase(c3: float, speed: float):
     """The traveling-wave phase xi = c3 x1 - x2 - speed t, linear in x."""
-    return lambda X, T: (c3 * X[:, 0] - X[:, 1] - speed * T, (c3, -1.0), None, -speed)
+    def phase(X, T):
+        xi = np.multiply(c3, X[:, 0])
+        xi -= X[:, 1]
+        xi -= np.multiply(speed, T)
+        return xi, (c3, -1.0), None, -speed
+    return phase
 
 
 def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> SolutionPair:
@@ -454,8 +488,12 @@ def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> Solut
         eta = phase(X, T)[0]
         value = np.empty((len(X), 2))
         for i, (v, a) in enumerate(zip(both([f(eta) for f in reals()]), coeffs)):
-            v = v if a == 1.0 else a * v
-            value[:, i] = v if offsets is None else v + offsets[i]
+            if a != 1.0:
+                v = np.multiply(a, v, out=value[:, i])
+            if offsets is not None:
+                np.add(v, offsets[i], out=value[:, i])
+            elif a == 1.0:
+                value[:, i] = v
         return value
 
     def velocity_jet(X, T):
@@ -555,7 +593,7 @@ def linear3d(
         fv = np.asarray(f_real(T))
         Cx = X @ C
         if not fv.ndim:
-            return fv * Cx
+            return np.multiply(fv, Cx, out=Cx)
         for k in range(3):
             np.multiply(fv, Cx[:, k], out=Cx[:, k])
         return Cx
@@ -646,20 +684,32 @@ def ns_halfspace_blowup(
     exclusion_radius = float(exclusion_radius)
 
     def _parts(X, T_):
-        tau = T - T_
+        tau = np.subtract(T, T_)
         if np.any(tau <= 0.0):
             raise InadmissiblePointError("time at or beyond the blow-up time")
-        s = (X[:, 0] - x0[0]) + (X[:, 1] - x0[1]) + (X[:, 2] - x0[2])
-        isq = 1.0 / np.sqrt(tau)
-        A = s * s / (12.0 * sigma * tau) - s * isq / sigma
-        E = np.exp(A)
-        return tau, s, isq, E
+        s, term = np.subtract(X[:, 0], x0[0]), np.subtract(X[:, 1], x0[1])
+        s += term
+        s += np.subtract(X[:, 2], x0[2], out=term)
+        isq = np.sqrt(tau)
+        np.divide(1.0, isq, out=isq)
+        E = np.multiply(s, s)  # A = s^2 / (12 sigma tau) - s isq / sigma, then E = exp(A)
+        E /= np.multiply(12.0 * sigma, tau, out=term)
+        np.multiply(s, isq, out=term)
+        term /= sigma
+        E -= term
+        return tau, s, isq, np.exp(E, out=E)
 
     def velocity(X, T_):
-        tau, s, isq, E = _parts(X, T_)
-        u12 = isq * (-1.0 + E)
-        u3 = -isq * (1.0 + 2.0 * E)
-        return np.stack([u12, u12, u3], axis=1)
+        _, u12, isq, E = _parts(X, T_)
+        u = np.empty((len(X), 3))
+        np.add(-1.0, E, out=u12)
+        np.multiply(isq, u12, out=u[:, 0])  # isq (-1 + E)
+        u[:, 1] = u[:, 0]
+        np.multiply(2.0, E, out=E)
+        np.add(1.0, E, out=E)
+        np.negative(isq, out=isq)
+        np.multiply(isq, E, out=u[:, 2])  # -isq (1 + 2 E)
+        return u
 
     def velocity_jet(X, T_):
         n = len(X)
@@ -782,24 +832,29 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
     amp, scaled = lam / tau, (lam, tau) != (1.0, 1.0)
 
     def pull(X, T):
+        X0 = X
         if C is not None:
-            Xb = np.empty_like(X)
+            X = np.empty_like(X0)
             for k, c in enumerate(C):
-                np.subtract(X[:, k], T * c, out=Xb[:, k])
-            X = Xb
+                np.multiply(T, c, out=X[:, k])
+                np.subtract(X0[:, k], X[:, k], out=X[:, k])
         if Q is not None:
             X = X @ Q.T
-        return (X / lam, T / tau) if scaled else (X, T)
+        if not scaled:
+            return X, T
+        return np.divide(X, lam, out=None if X is X0 else X), T / tau
 
     def velocity(X, T):
         u = base_v(*pull(X, T))
-        if Q is not None:
+        own = Q is not None  # only arrays made here are written in place
+        if own:
             u = u @ Q
         if scaled:
-            u = amp * u
+            u = np.multiply(amp, u, out=u if own else None)
+            own = True
         if C is None:
             return u
-        w = np.empty_like(u)
+        w = u if own else np.empty_like(u)
         for k, c in enumerate(C):
             np.add(u[:, k], c, out=w[:, k])
         return w

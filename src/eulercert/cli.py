@@ -364,9 +364,10 @@ def cmd_list(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    sol = _resolve(args.spec, args.pressure_sign)  # a bad spec exits before the import
+
     from .verification import Tolerances, certify, default_region
 
-    sol = _resolve(args.spec, args.pressure_sign)
     region = default_region(sol, count=args.samples, seed=args.seed, until=args.until)
     if args.exclusion is not None:
         region = replace(region, exclusion_radius=args.exclusion)
@@ -481,6 +482,10 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _csv_cell(value: float) -> str:
+    return "%.17g" % value if math.isfinite(value) else "NA"
+
+
 def cmd_grid_dump(args) -> int:
     sol = _resolve(args.spec)
     dim = sol.dimension
@@ -505,13 +510,15 @@ def cmd_grid_dump(args) -> int:
     lines = ["# format_version=1",
              ",".join(header_coords + ["t"] + [f"u{i+1}" for i in range(dim)]
                       + ["residual", "divergence"])]
-    # one %-format per pattern of non-finite cells: a non-finite cell prints
-    # the literal NA and "%.0s" consumes its value
-    weights = 1 << np.arange(2 * dim + 3)
-    row_formats = {}
     # row order: t outermost, then the last spatial axis, x1 fastest
     mesh = np.meshgrid(*axes, indexing="ij")
     Xflat = np.stack([m.reshape(-1, order="F") for m in mesh], axis=1)
+    # each coordinate and time is formatted once; the value columns go through
+    # one %-format per pattern of non-finite cells, where a non-finite cell
+    # prints the literal NA and "%.0s" consumes its value
+    coords = [",".join(map(_csv_cell, row)) + "," for row in Xflat.tolist()]
+    weights = 1 << np.arange(dim + 2)
+    row_formats = {}
     for t in ts:
         Tflat = np.full(len(Xflat), t)
         ok = sol.singular.admissible(Xflat, Tflat, sol.exclusion_radius)
@@ -540,14 +547,15 @@ def cmd_grid_dump(args) -> int:
                             u[i] = val
                     except eval_errors:
                         pass
-        table = np.column_stack([Xflat, Tflat, u, res, div])
-        patterns = (~np.isfinite(table)) @ weights
-        for row, pattern in zip(table.tolist(), patterns.tolist()):
+        values = np.column_stack([u, res, div])
+        patterns = (~np.isfinite(values)) @ weights
+        t_cell = _csv_cell(float(t)) + ","
+        for xs, row, pattern in zip(coords, values.tolist(), patterns.tolist()):
             fmt = row_formats.get(pattern)
             if fmt is None:
                 fmt = row_formats[pattern] = ",".join(
                     "NA%.0s" if pattern >> i & 1 else "%.17g" for i in range(len(weights)))
-            lines.append(fmt % tuple(row))
+            lines.append(xs + t_cell + fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -427,13 +427,18 @@ def radial_jacobian(phi: Jet2, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
     two diagonal entries are the same computed product with opposite signs.
     """
     y1, y2 = Y[:, 0], Y[:, 1]
-    q = phi.d1 / r
-    off = q * y1 * y2
+    q = np.divide(phi.d1, r)
+    term = np.multiply(q, y1)
     jac = np.empty((len(r), 2, 2))
-    jac[:, 0, 0] = off
-    jac[:, 0, 1] = phi.value + q * y2 * y2
-    jac[:, 1, 0] = -(phi.value + q * y1 * y1)
-    jac[:, 1, 1] = -off
+    np.multiply(term, y2, out=jac[:, 0, 0])  # q y1 y2
+    np.negative(jac[:, 0, 0], out=jac[:, 1, 1])
+    np.multiply(q, y2, out=term)
+    term *= y2
+    np.add(phi.value, term, out=jac[:, 0, 1])  # phi + q y2 y2
+    np.multiply(q, y1, out=term)
+    term *= y1
+    np.add(phi.value, term, out=term)
+    np.negative(term, out=jac[:, 1, 0])  # -(phi + q y1 y1)
     return jac
 
 
@@ -445,9 +450,17 @@ def radial_field_jet(phi: Jet2, Y: np.ndarray, r: np.ndarray):
     """
     y1, y2 = Y[:, 0], Y[:, 1]
     jac = radial_jacobian(phi, Y, r)
-    lapfac = phi.d2 + 3.0 * phi.d1 / r
-    value = np.stack([phi.value * y2, -phi.value * y1], axis=1)
-    lap = np.stack([lapfac * y2, -lapfac * y1], axis=1)
+    n = len(r)
+    value, lap, lapfac = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+    np.multiply(phi.value, y2, out=value[:, 0])
+    np.negative(phi.value, out=value[:, 1])
+    value[:, 1] *= y1  # -phi y1
+    np.multiply(3.0, phi.d1, out=lapfac)
+    lapfac /= r
+    np.add(phi.d2, lapfac, out=lapfac)  # phi'' + 3 phi' / r
+    np.multiply(lapfac, y2, out=lap[:, 0])
+    np.negative(lapfac, out=lapfac)
+    np.multiply(lapfac, y1, out=lap[:, 1])
     return value, jac, lap
 
 
@@ -480,9 +493,9 @@ def phase_jacobian(n: int, profiles, coeffs, grad) -> np.ndarray:
     d_j eta a_i V_i'; reads only the first derivative of each profile."""
     jac = np.empty((n, 2, 2))
     for i, (V, a) in enumerate(zip(profiles, coeffs)):
-        vp = V.d1 if a == 1.0 else a * V.d1
-        jac[:, i, 0] = grad[0] * vp
-        jac[:, i, 1] = grad[1] * vp
+        vp = V.d1 if a == 1.0 else np.multiply(a, V.d1, out=jac[:, i, 1])
+        np.multiply(grad[0], vp, out=jac[:, i, 0])
+        np.multiply(grad[1], vp, out=jac[:, i, 1])
     return jac
 
 

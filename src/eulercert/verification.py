@@ -11,6 +11,14 @@ seed.  The generator is counter-based (draw k mixes seed + (k+1) * golden
 mod 2^64), so points are drawn and tested for admissibility in blocks; the
 accepted points are exactly those of drawing one value at a time with
 ``splitmix64_stream``, in the same order.
+
+The per-point kernels (here and in ``catalog`` and ``fields``) write their
+intermediates in place, into arrays they allocated themselves; they keep
+every operand and the order of every operation, so each value is bit for
+bit that of the same formula written as one numpy expression.  The rule: a
+kernel overwrites only arrays it allocated, never its inputs and never an
+array that a ``SolutionPair`` callable returned, which may be an input or
+a view of one.
 """
 
 from __future__ import annotations
@@ -209,12 +217,19 @@ def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
     so any block is computed directly in wrapping uint64 arithmetic and
     equals the per-draw stream bit for bit.
     """
-    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + k * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(z)  # the one scratch buffer of the mixing
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 _BLOCK_DRAWS = 1 << 16  # values drawn per block at most, bounding peak memory
@@ -249,13 +264,19 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
         u = u.reshape(rows, dim + 1)
         X = np.empty((rows, dim))
         for k, (lo, hi) in enumerate(region.box):
-            np.add(lo, u[:, k] * (hi - lo), out=X[:, k])
-        T = t0 + u[:, dim] * (t1 - t0)
+            np.multiply(u[:, k], hi - lo, out=X[:, k])
+            np.add(lo, X[:, k], out=X[:, k])
+        T = np.multiply(u[:, dim], t1 - t0)
+        np.add(t0, T, out=T)
         keep = np.flatnonzero(sing.admissible(X, T, radius))[:n - accepted]
+        if len(keep) and keep[-1] == len(keep) - 1:  # a prefix: slice it, not gather
+            keep = slice(len(keep))
         xs.append(X[keep])
         ts.append(T[keep])
-        accepted += len(keep)
+        accepted += len(ts[-1])
         drawn += rows
+    if len(xs) == 1:
+        return xs[0], ts[0]
     return np.concatenate(xs), np.concatenate(ts)
 
 
@@ -274,10 +295,11 @@ def sample_points(region: SampleRegion, sing: SingularSetDescriptor,
 def _residual_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray, jet) -> np.ndarray:
     """Momentum residual rows; ``jet`` is ``sol.velocity_jet(X, T)``."""
     grad_p = sol.pressure_gradient(X, T)
-    convect = np.einsum("nij,nj->ni", jet.jacobian, jet.value)
-    res = jet.dt + convect + grad_p
+    res = np.einsum("nij,nj->ni", jet.jacobian, jet.value)  # the convection term
+    np.add(jet.dt, res, out=res)
+    res += grad_p
     if sol.viscosity != 0.0:
-        res = res - sol.viscosity * jet.laplacian
+        res -= sol.viscosity * jet.laplacian
     return res
 
 
@@ -300,26 +322,40 @@ def _divergence_batch(sol: SolutionPair, X, T, jet) -> np.ndarray:
     return np.einsum("nii->n", jet.jacobian)
 
 
+def _clearance_cap(clear, fraction):
+    """``fraction`` of the clearance where it is finite, inf elsewhere."""
+    cap = np.multiply(fraction, clear)
+    cap[~np.isfinite(clear)] = np.inf
+    return cap
+
+
 def _clearance_capped_steps(X, T, clear, base, fraction):
     """Per-point steps: base * max(1, |coord|), capped at ``fraction`` of the
     clearance ``clear`` to the singular set."""
-    cap = np.where(np.isfinite(clear), fraction * clear, np.inf)
+    cap = _clearance_cap(clear, fraction)
+
+    def capped(coord, out):
+        np.abs(coord, out=out)
+        np.maximum(1.0, out, out=out)
+        np.multiply(base, out, out=out)
+        return np.minimum(out, cap, out=out)
+
     hx = np.empty(X.shape, order="F")  # the stencils read one axis at a time
     for k in range(X.shape[1]):
-        np.minimum(base * np.maximum(1.0, np.abs(X[:, k])), cap, out=hx[:, k])
-    ht = np.minimum(base * np.maximum(1.0, np.abs(T)), cap)
-    return hx, ht
+        capped(X[:, k], hx[:, k])
+    return hx, capped(T, np.empty(len(T)))
 
 
 def _shifted(f, X, T, axis, h):
     """``f`` at the points moved by -2h, -h, h, 2h along ``axis``, where axes
     0 .. dim-1 are the coordinates and axis dim is time; ``h`` is a step per
-    point or one step for all."""
-    def at(m):
+    point, shape (N,)."""
+    def at(m):  # a fresh array per shift: ``f`` may return a view of it
+        step = m * h
         if axis == X.shape[1]:
-            return f(X, T + m * h)
+            return f(X, np.add(T, step, out=step))
         Xs = X.copy()
-        Xs[:, axis] = Xs[:, axis] + m * h
+        Xs[:, axis] += step
         return f(Xs, T)
 
     return [at(m) for m in (-2, -1, 1, 2)]
@@ -338,13 +374,24 @@ def _per_point(num, den):
 def _fd1(values, h):
     """4th-order first derivative; ``h`` is a step per point, shape (N,)."""
     fm2, fm1, fp1, fp2 = values
-    return _per_point(-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2, 12.0 * h)
+    num, term = np.negative(fp2), np.multiply(8.0, fp1)  # -fp2 + 8 fp1 - 8 fm1 + fm2
+    num += term
+    num -= np.multiply(8.0, fm1, out=term)
+    num += fm2
+    return _per_point(num, 12.0 * h)
 
 
 def _fd2(values, f0, h):
     """4th-order second derivative; ``h`` is a step per point, shape (N,)."""
     fm2, fm1, fp1, fp2 = values
-    return _per_point(-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2, 12.0 * h * h)
+    num, term = np.negative(fp2), np.multiply(16.0, fp1)  # -fp2 + 16 fp1 - 30 f0 + 16 fm1 - fm2
+    num += term
+    num -= np.multiply(30.0, f0, out=term)
+    num += np.multiply(16.0, fm1, out=term)
+    num -= fm2
+    den = 12.0 * h
+    den *= h
+    return _per_point(num, den)
 
 
 def _fd_steps(X, T, clear):
@@ -393,8 +440,13 @@ def _fd_pressure_gradient(sol: SolutionPair, X, T):
 
 def _rel_discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise |a - b| / max(1, |a|, |b|)."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return np.abs(a - b) / scale
+    scale, d = np.abs(a), np.abs(b)
+    np.maximum(scale, d, out=scale)
+    np.maximum(1.0, scale, out=scale)
+    np.subtract(a, b, out=d)
+    np.abs(d, out=d)
+    d /= scale
+    return d
 
 
 def fd_crosscheck(sol: SolutionPair, point: SpaceTimePoint, h: Optional[float] = None) -> float:
@@ -431,9 +483,8 @@ def _fd_panel(sol, X, T, jet=None, u=None, steps=None) -> np.ndarray:
         steps = _fd_steps(X, T, sol.singular.clearance(X, T))
     jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
     d = _row_max(_rel_discrepancy(jet.jacobian, jac_fd).reshape(len(X), -1))
-    d = np.maximum(d, _row_max(_rel_discrepancy(jet.laplacian, lap_fd)))
-    d = np.maximum(d, _row_max(_rel_discrepancy(jet.dt, dt_fd)))
-    return d
+    np.maximum(d, _row_max(_rel_discrepancy(jet.laplacian, lap_fd)), out=d)
+    return np.maximum(d, _row_max(_rel_discrepancy(jet.dt, dt_fd)), out=d)
 
 
 def residual_fd_only(sol: SolutionPair, X, T) -> np.ndarray:
@@ -454,11 +505,15 @@ def residual_fd_only(sol: SolutionPair, X, T) -> np.ndarray:
 def _vorticity_transport_batch(sol: SolutionPair, X, T, u, clear) -> np.ndarray:
     """omega_t + u . grad omega by central differences of the vorticity;
     ``u`` and ``clear`` are the velocity and the clearance at the points."""
-    cap = np.where(np.isfinite(clear), VORT_CLEARANCE_FRACTION * clear, np.inf)
-    h = np.minimum(VORT_STEP, cap)
+    h = _clearance_cap(clear, VORT_CLEARANCE_FRACTION)
+    np.minimum(VORT_STEP, h, out=h)
     omega = functools.partial(vorticity_batch, sol)
     d1, d2, dt = (_fd1(_shifted(omega, X, T, axis, h), h) for axis in range(3))  # x1, x2, t
-    return u[:, 0] * d1 + u[:, 1] * d2 + dt
+    np.multiply(u[:, 0], d1, out=d1)  # u1 d1 + u2 d2 + dt, in the stencils' arrays
+    np.multiply(u[:, 1], d2, out=d2)
+    d1 += d2
+    d1 += dt
+    return d1
 
 
 def vorticity_transport_residual(sol: SolutionPair, point: SpaceTimePoint) -> float:
@@ -517,7 +572,8 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
     jet, u, clear = sol.velocity_jet(X, T), sol.velocity(X, T), sol.singular.clearance(X, T)
 
     res = row_norm(_residual_batch(sol, X, T, jet))
-    div = np.abs(_divergence_batch(sol, X, T, jet))
+    div = _divergence_batch(sol, X, T, jet)
+    np.abs(div, out=div)
     fd = _fd_panel(sol, X, T, jet, u, _fd_steps(X, T, clear))
 
     n_pressure = 0
@@ -537,7 +593,8 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
     vort = None
     max_vort = None
     if sol.dimension == 2:
-        vort = np.abs(_vorticity_transport_batch(sol, X, T, u, clear))
+        vort = _vorticity_transport_batch(sol, X, T, u, clear)
+        np.abs(vort, out=vort)
         max_vort = float(vort.max())
 
     metrics = {"residual": (res, tolerances.residual),

@@ -976,6 +976,22 @@ class TestImports:
                                     "are not allowed ('unknown_key' was unexpected)\n")
         assert "jsonschema" not in loaded["heavy"]
 
+    # certify resolves its spec before it imports verification, so a bad
+    # spec exits 2 without loading that layer
+    def test_bad_spec_exits_before_loading_verification(self, tmp_path):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "ij_vortex",
+                                 "params": {"c": "1"}, "unknown_key": True}))
+        loaded = _modules_after(["certify", str(p)])
+        assert (loaded["code"], loaded["stdout"]) == (2, "")
+        assert loaded["stderr"] == ("error: spec file invalid at <root>: Additional properties "
+                                    "are not allowed ('unknown_key' was unexpected)\n")
+        assert loaded["eulercert"] == ["catalog", "cli", "expressions", "fields"]
+        unknown = _modules_after(["certify", "no_such_preset"])
+        assert (unknown["code"], unknown["stdout"]) == (2, "")
+        assert unknown["stderr"].startswith("error: cannot read spec file:")
+        assert unknown["eulercert"] == ["catalog", "cli", "expressions", "fields"]
+
     def test_spec_files_need_no_jsonschema(self, tmp_path):
         blocked = "import sys\nsys.modules['jsonschema'] = None\n" + _MODULES_AFTER
         valid = json.loads(_fresh_python(

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulercert.catalog import (
     TransformSpec,
@@ -41,7 +43,9 @@ from eulercert.verification import (
     vorticity_transport_residual,
     _clearance_capped_steps,
     _fd1,
+    _fd2,
     _fd_pressure_gradient,
+    _rel_discrepancy,
     _row_max,
     _sample_arrays,
     _shifted,
@@ -496,3 +500,126 @@ class TestFusedPressurePanel:
         assert len(X) == PRESSURE_FD_SUBSET
         assert calls == [4 * X.shape[1] * len(X)]
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# In-place kernels: a kernel overwrites only arrays it allocated, and every
+# value keeps the bits of the one-line expression it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _read_only(a):
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def _guarded(sol, calls):
+    """``sol`` with every callable reading read-only views of its inputs and
+    returning read-only views of its results, so that a write to either
+    raises; ``calls`` collects each input with a copy of its bytes."""
+    def guard(f, jet=False):
+        def call(X, T):
+            calls.append((X, X.tobytes(), T, T.tobytes()))
+            out = f(_read_only(X), _read_only(T))
+            if jet:
+                return VelocityJet(*map(_read_only, (out.value, out.jacobian, out.laplacian,
+                                                     out.dt)))
+            return _read_only(out)
+        return None if f is None else call
+
+    return replace(sol, velocity=guard(sol.velocity), velocity_jet=guard(sol.velocity_jet, True),
+                   velocity_jacobian=guard(sol.velocity_jacobian),
+                   pressure_gradient=guard(sol.pressure_gradient),
+                   pressure_value=guard(sol.pressure_value),
+                   pressure_cut_clearance=guard(sol.pressure_cut_clearance))
+
+
+def _report_bytes(sol, count=500):
+    report = certify(sol, default_region(sol, count=count, seed=2))
+    return json.dumps(report.to_dict(), indent=2).encode()
+
+
+# Transforms of a guarded pair, so that ``catalog._step`` reads read-only
+# arrays from the pair it maps.
+GUARDED_BASE_TRANSFORMS = {
+    "ex_2_5_rotated_rescaled_boosted": ("ex_2_5", (TransformSpec.rotation(0.7),
+                                                   TransformSpec.rescale(1.5, 0.8),
+                                                   TransformSpec.boost((0.3, -0.2)))),
+    "ex_3_4_smooth_boosted": ("ex_3_4_smooth", (TransformSpec.boost((0.5, 0.25)),)),
+    "ex_6_1_boosted_rescaled": ("ex_6_1", (TransformSpec.boost((0.2, -0.1, 0.3)),
+                                           TransformSpec.rescale(1.5, 2.0))),
+}
+
+
+class TestKernelOwnership:
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_read_only_pair_certifies_to_the_same_bytes(self, pid):
+        calls = []
+        got = _report_bytes(_guarded(preset(pid), calls))
+        assert got == _report_bytes(preset(pid))
+        assert calls and all(X.tobytes() == xb and T.tobytes() == tb for X, xb, T, tb in calls)
+
+    @pytest.mark.parametrize("case", sorted(GUARDED_BASE_TRANSFORMS))
+    def test_transform_of_a_read_only_pair(self, case):
+        pid, transforms = GUARDED_BASE_TRANSFORMS[case]
+        inner, outer = [], []
+        plain, guarded = preset(pid), _guarded(preset(pid), inner)
+        for tr in transforms:
+            plain, guarded = apply_transform(plain, tr), apply_transform(guarded, tr)
+        assert _report_bytes(_guarded(guarded, outer)) == _report_bytes(plain)
+        for calls in (inner, outer):
+            assert calls and all(X.tobytes() == xb and T.tobytes() == tb
+                                 for X, xb, T, tb in calls)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0, 3.0])
+_ENTRY = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True,
+                                       allow_subnormal=True))
+
+
+@st.composite
+def _stencil_inputs(draw):
+    """Five value arrays of one shape, (n,) or (n, dim), and per-point steps."""
+    n, dim = draw(st.integers(1, 6)), draw(st.sampled_from([None, 2, 3]))
+    shape = (n,) if dim is None else (n, dim)
+    size = n * (dim or 1)
+    arrays = [np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size))).reshape(shape)
+              for _ in range(5)]
+    h = np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    return arrays, h
+
+
+def _same_bits(got, want):
+    """Bit for bit, NaN payloads included.  numpy runs an in-place add on a
+    one-element array as a reduction, which keeps the second operand's NaN
+    when both are NaN; there a NaN only has to stay a NaN."""
+    if got.size == 1 and np.isnan(got).all() and np.isnan(want).all():
+        return True
+    bits = [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in (got, want)]
+    return np.array_equal(*bits)
+
+
+class TestInPlaceStencilBits:
+    """The in-place stencils and discrepancy against the one-line
+    expressions they replaced, bit for bit."""
+
+    @given(_stencil_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_fd1_fd2_and_discrepancy(self, inputs):
+        (fm2, fm1, f0, fp1, fp2), h = inputs
+        before = [a.tobytes() for a in (fm2, fm1, f0, fp1, fp2, h)]
+        per_point = (lambda d: d) if f0.ndim == 1 else (lambda d: d[:, None])
+        with np.errstate(all="ignore"):
+            want1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / per_point(12.0 * h)
+            want2 = ((-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2)
+                     / per_point(12.0 * h * h))
+            want_d = np.abs(fp1 - fm1) / np.maximum(1.0, np.maximum(np.abs(fp1), np.abs(fm1)))
+            got1 = _fd1((fm2, fm1, fp1, fp2), h)
+            got2 = _fd2((fm2, fm1, fp1, fp2), f0, h)
+            got_d = _rel_discrepancy(fp1, fm1)
+        assert _same_bits(got1, want1)
+        assert _same_bits(got2, want2)
+        assert _same_bits(got_d, want_d)
+        assert [a.tobytes() for a in (fm2, fm1, f0, fp1, fp2, h)] == before
