@@ -89,6 +89,8 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class NormResult:
+    """An L^q norm over an annulus or the plane, with its tail bound and provenance."""
+
     value: float  # the L^q norm
     value_pow_q: float  # norm**q, the quantity the closed forms describe
     tail_bound: float
@@ -97,6 +99,8 @@ class NormResult:
 
 @dataclass(frozen=True)
 class EnergyResult:
+    """The planar L^2 energy of ``u - C``, or why it diverges or is unknown."""
+
     value: Optional[float]  # squared L^2 norm over the plane, None if divergent
     tail_bound: float
     diagnosis: Optional[str]
@@ -283,6 +287,8 @@ class RateFit:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A blow-up rate fit: the slope of log norm against log (T - t), and its samples."""
+
     exponent: float
     residual_rms: float
     blowup_time: float
@@ -364,6 +370,8 @@ def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> Fit
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """An ansatz probe: the sup residual over the probe region and the verdict."""
+
     sup_residual: float
     count: int
     verdict: str

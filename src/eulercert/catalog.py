@@ -799,7 +799,16 @@ class TransformSpec:
     def rescale(lam: float, tau: float) -> "TransformSpec":
         if lam <= 0 or tau <= 0:
             raise FieldError("rescale requires lam > 0 and tau > 0")
-        return TransformSpec(kind="rescale", lam=float(lam), tau=float(tau))
+        lam, tau = float(lam), float(tau)
+        try:  # the factors _step derives, computed as it does
+            representable = all(math.isfinite(f) and f != 0.0
+                                for f in (lam / tau, lam / tau**2, lam * tau, lam * lam / tau))
+        except (ZeroDivisionError, OverflowError):
+            representable = False
+        if not representable:
+            raise FieldError(f"rescale by lam={lam!r}, tau={tau!r} overflows or underflows: "
+                             "lam/tau, lam/tau^2, lam*tau and lam^2/tau must be finite and > 0")
+        return TransformSpec(kind="rescale", lam=lam, tau=tau)
 
     @staticmethod
     def from_dict(d: dict) -> "TransformSpec":
@@ -923,8 +932,12 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
             mapped["sup_speed_unit_ball"] = lambda t: amp / lam * ball(t / tau)
         if sol.decay_envelope is not None:
             kappa, m, exact = sol.decay_envelope
-            gain = amp * lam ** m
-            mapped["decay_envelope"] = (lambda t: gain * kappa(t / tau), m, exact)
+            try:
+                gain = amp * lam ** m
+            except OverflowError:  # no envelope is stated past the float range
+                mapped["decay_envelope"] = None
+            else:
+                mapped["decay_envelope"] = (lambda t: gain * kappa(t / tau), m, exact)
     return replace(
         sol,
         velocity=velocity,

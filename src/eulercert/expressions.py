@@ -83,6 +83,7 @@ ParamEnv = dict  # name -> float; missing names are an error, never a default
 # ---------------------------------------------------------------------------
 
 Real = Union[float, np.ndarray]
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,29 @@ class Jet2:
         return Jet2(q0, q1, q2)
 
 
+# The domain checks run at every division, ln, sqrt and ^ of every
+# evaluation, so a float and a plain ndarray take the ndarray methods, not
+# numpy's Python-level np.any and np.ndim wrappers; the answers are the same.
+
+
 def _nonpositive(v: Real) -> bool:
-    return v <= 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) <= 0.0))
+    if isinstance(v, float):
+        return v <= 0.0
+    if type(v) is np.ndarray:
+        return bool((v <= 0.0).any())
+    return bool(np.any(np.asarray(v) <= 0.0))
 
 
 def _has_zero(v: Real) -> bool:
-    return v == 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) == 0.0))
+    if isinstance(v, float):
+        return v == 0.0
+    if type(v) is np.ndarray and v.dtype == _FLOAT64:
+        return not v.all()  # NaN is nonzero, -0.0 is zero
+    return bool(np.any(np.asarray(v) == 0.0))
+
+
+def _is_scalar(v) -> bool:
+    return isinstance(v, float) or np.ndim(v) == 0
 
 
 def _chain(u: Jet2, f0: Real, f1: Real, f2: Real) -> Jet2:
@@ -234,11 +252,11 @@ def _int_exponent(expo: Jet2):
     qualifies; at an array seed it would not anyway, its value being an array.
     """
     expo_constant = (
-        np.ndim(expo.d1) == 0
-        and np.ndim(expo.d2) == 0
+        _is_scalar(expo.d1)
+        and _is_scalar(expo.d2)
         and expo.d1 == 0.0
         and expo.d2 == 0.0
-        and np.ndim(expo.value) == 0
+        and _is_scalar(expo.value)
     )
     if expo_constant and float(expo.value).is_integer() and abs(expo.value) <= _INT_POW_LIMIT:
         return int(expo.value)
@@ -261,6 +279,8 @@ def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
 
 @dataclass(frozen=True)
 class Node:
+    """An expression AST node; nodes are immutable and compare by value."""
+
     def depth(self) -> int:
         raise NotImplementedError
 
@@ -270,6 +290,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Num(Node):
+    """A numeric literal."""
+
     value: float
 
     def depth(self):
@@ -281,6 +303,8 @@ class Num(Node):
 
 @dataclass(frozen=True)
 class Var(Node):
+    """The free variable of the expression."""
+
     name: str
 
     def depth(self):
@@ -292,6 +316,8 @@ class Var(Node):
 
 @dataclass(frozen=True)
 class Param(Node):
+    """A named parameter, looked up in the parameter environment."""
+
     name: str
 
     def depth(self):
@@ -303,6 +329,8 @@ class Param(Node):
 
 @dataclass(frozen=True)
 class Neg(Node):
+    """Unary minus."""
+
     child: Node
 
     def depth(self):
@@ -314,6 +342,8 @@ class Neg(Node):
 
 @dataclass(frozen=True)
 class Bin(Node):
+    """A binary operation: ``left op right``."""
+
     op: str  # one of + - * / ^
     left: Node
     right: Node
@@ -327,6 +357,8 @@ class Bin(Node):
 
 @dataclass(frozen=True)
 class Call(Node):
+    """One of the six elementary functions applied to an argument."""
+
     fn: str
     arg: Node
 

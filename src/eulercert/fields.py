@@ -118,6 +118,8 @@ class VelocityJet:
 
 @dataclass(frozen=True)
 class PressureInfo:
+    """The pressure gradient at a point and, where defined, the value and its branch."""
+
     gradient: np.ndarray
     value: Optional[float] = None
     branch: Optional[str] = None

@@ -98,10 +98,14 @@ class SampleRegion:
                 raise RegionError("box must be non-degenerate")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise RegionError(f"box must be finite, got ({lo}, {hi})")
+            if not math.isfinite(hi - lo):  # lo + u (hi - lo) would sample inf
+                raise RegionError(f"box width must be finite, got ({lo}, {hi})")
         if not (self.time[1] > self.time[0]):
             raise RegionError("time interval must be non-degenerate")
         if not (math.isfinite(self.time[0]) and math.isfinite(self.time[1])):
             raise RegionError(f"time interval must be finite, got {tuple(self.time)}")
+        if not math.isfinite(self.time[1] - self.time[0]):
+            raise RegionError(f"time interval length must be finite, got {tuple(self.time)}")
         r = self.exclusion_radius
         if r is not None and not (math.isfinite(r) and r > 0):
             raise RegionError(f"exclusion radius must be finite and > 0, got {r}")
@@ -113,6 +117,8 @@ class SampleRegion:
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The bound each certified metric's maximum must not exceed."""
+
     residual: float = 1e-8
     divergence: float = 1e-10
     fd: float = 1e-5
@@ -127,6 +133,8 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """The outcome of ``certify``: the region, each metric's maximum, the verdict."""
+
     solution: str
     family: str
     dimension: int
@@ -555,13 +563,50 @@ def _validate_region(sol: SolutionPair, region: SampleRegion):
         raise RegionError(f"time interval must end strictly below the blow-up time {T}")
 
 
+_HALF = 26  # the 52 fraction bits split into two 26-bit halves
+_LOW = (1 << _HALF) - 1
+_EXPONENT_ALL_ONES = 0x7FF0000000000000  # +inf; NaN and every set sign bit lie above
+_EXACT_SUM_ROWS = 1 << 26  # a bin's float64 sum of halves stays below 2^53, so exact
+_UNIT = 1 << 1074  # the integer sum counts units of 2^-1074
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` for a 1-D float64 array, without the list.
+
+    A finite row >= +0.0 is s 2^(e-1075) with significand s < 2^53 (e >= 1)
+    or s 2^-1074 (e = 0).  The rows' significands are summed per exponent
+    with ``np.bincount`` in high and low halves, exactly, combined as a
+    Python int in units of 2^-1074 and rounded once by int true division,
+    which rounds correctly, subnormals included, as ``fsum`` does.  An array
+    with a non-finite or sign-bit-set row, and a sum that overflows, go to
+    ``fsum`` itself.
+    """
+    bits = x.view(np.uint64)
+    if not 0 < len(x) <= _EXACT_SUM_ROWS or bits.max() >= _EXPONENT_ALL_ONES:
+        return math.fsum(x.tolist())
+    bits = bits.view(np.int64)
+    e = bits >> 52
+    count = np.bincount(e)
+    high = np.bincount(e, weights=(bits >> _HALF) & _LOW)
+    low = np.bincount(e, weights=bits & _LOW)
+    total = 0
+    for k in np.flatnonzero(count).tolist():
+        s = (int(high[k]) << _HALF) + int(low[k])  # the fraction bits; e >= 1 adds 2^52
+        total += (s + (int(count[k]) << 52)) << (k - 1) if k else s
+    try:
+        return total / _UNIT
+    except OverflowError:
+        return math.fsum(x.tolist())
+
+
 def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
             tolerances: Optional[Tolerances] = None) -> CertificationReport:
     """Sample the region and aggregate the four pointwise checks.
 
     Deterministic for a fixed seed: the sample sequence is platform
-    independent, maxima are order independent, and the mean uses exact
-    (fsum) accumulation.
+    independent, maxima are order independent, and the mean is the exact
+    sum of the residuals, rounded once (``_exact_sum``, which equals
+    ``math.fsum``), divided by the count.
     """
     region = region or default_region(sol)
     tolerances = tolerances or Tolerances()
@@ -591,19 +636,21 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
             fd[sel] = np.maximum(fd[sel], fd_p)
 
     vort = None
-    max_vort = None
     if sol.dimension == 2:
         vort = _vorticity_transport_batch(sol, X, T, u, clear)
         np.abs(vort, out=vort)
-        max_vort = float(vort.max())
 
     metrics = {"residual": (res, tolerances.residual),
                "divergence": (div, tolerances.divergence),
                "fd_discrepancy": (fd, tolerances.fd)}
     if vort is not None:
         metrics["vorticity_transport"] = (vort, tolerances.vorticity)
-    non_finite = {k: int(np.count_nonzero(~np.isfinite(v))) for k, (v, _) in metrics.items()}
-    checks = [not non_finite[k] and float(v.max()) <= tol for k, (v, tol) in metrics.items()]
+    peak = {k: float(v.max()) for k, (v, _) in metrics.items()}
+    # every metric is >= 0 or NaN, so it has a non-finite row exactly when its
+    # maximum is not finite; a non-finite maximum fails the check
+    non_finite = {k: 0 if math.isfinite(peak[k]) else int(np.count_nonzero(~np.isfinite(v)))
+                  for k, (v, _) in metrics.items()}
+    checks = [peak[k] <= tol for k, (_, tol) in metrics.items()]
 
     def worst(values, non_finite):
         i = int(np.argmax(~np.isfinite(values)) if non_finite else np.argmax(values))
@@ -629,11 +676,11 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
         exclusion_radius=radius,
         box=tuple(tuple(b) for b in region.box),
         time=tuple(region.time),
-        max_residual=float(res.max()),
-        mean_residual=math.fsum(res.tolist()) / len(res),
-        max_divergence=float(div.max()),
-        max_fd_discrepancy=float(fd.max()),
-        max_vorticity_transport=max_vort,
+        max_residual=peak["residual"],
+        mean_residual=_exact_sum(res) / len(res),
+        max_divergence=peak["divergence"],
+        max_fd_discrepancy=peak["fd_discrepancy"],
+        max_vorticity_transport=peak.get("vorticity_transport"),
         fd_pressure_points=n_pressure,
         tolerances=tolerances,
         verdict="pass" if all(checks) else "fail",

@@ -215,6 +215,31 @@ class TestTransforms:
         with pytest.raises(FieldError):
             apply_transform(preset("ex_2_5"), TransformSpec.boost((1.0, 0.0, 0.0)))
 
+    # each pair makes a factor _step derives 0 or non-finite: lam/tau^2 divides
+    # by an underflowed tau^2 or overflows, lam/tau, lam*tau or lam^2/tau leave
+    # the float range
+    @pytest.mark.parametrize("lam, tau", [
+        (1.0, 1e-180), (1.0, 1e200), (1e-300, 1e10), (1e300, 1e-10), (1e200, 1.0),
+        (1e-200, 1e-200), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+    ])
+    def test_rescale_with_an_unrepresentable_factor_refused(self, lam, tau):
+        with pytest.raises(FieldError, match="rescale"):
+            TransformSpec.rescale(lam, tau)
+
+    @pytest.mark.parametrize("lam, tau", [(1e150, 1.0), (1.0, 1e-150), (1e-150, 1e-150)])
+    def test_rescale_near_the_float_range_still_builds(self, lam, tau):
+        tr = TransformSpec.rescale(lam, tau)
+        assert (tr.lam, tr.tau) == (lam, tau)
+        apply_transform(preset("ex_2_5"), tr)
+
+    def test_rescale_whose_envelope_gain_overflows_drops_the_envelope(self):
+        # ex_3_2's envelope decays like r^-3, so its gain lam/tau lam^3 overflows
+        # at lam = 1e120 while every factor of the field itself is finite
+        sol = apply_transform(preset("ex_3_2"), TransformSpec.rescale(1e120, 1.0))
+        assert sol.decay_envelope is None
+        kept = apply_transform(preset("ex_3_2"), TransformSpec.rescale(2.0, 0.5))
+        assert kept.decay_envelope[0](0.3) == 2.0 / 0.5 * 2.0 ** 3
+
     @pytest.mark.parametrize("lam, tau", [(2.0, 0.5), (1.0, 2.0), (0.3, 3.0)])
     def test_rescaled_boundary_speed_is_the_speed_on_the_boundary(self, lam, tau):
         sol = apply_transform(preset("ex_6_1"), TransformSpec.rescale(lam, tau))

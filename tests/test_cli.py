@@ -320,6 +320,13 @@ class TestGridDump:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_box_whose_width_overflows_is_input_error(self, capsys):
+        # -1e308 written out in decimal: argparse takes "-1e308" for an option
+        code, out, err = run(capsys, "grid-dump", "ex_2_6", "--box", "-1" + "0" * 308, "1e308",
+                             "-1", "1", "--nx", "3", "--nt", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: box width must be finite, got (-1e+308, 1e+308)\n"
+
     def test_dump_below_blowup_time_still_runs(self, capsys):
         code, out, _ = run(capsys, "grid-dump", "ex_2_6", "--until", "0.99", "--nx", "2",
                            "--nt", "2")
@@ -661,6 +668,14 @@ class TestSpecInputErrors:
         ({"family": "preset", "preset": "ex_2_6", "overrides": {"time": [0.0, 0.2]}},
          "overrides.time does not apply: a solution with blow-up time 1.0 is sampled "
          "from 0 up to --until times its blow-up time"),
+        # tau^2 underflows to 0, which _step would divide by
+        ({"family": "preset", "preset": "ex_3_4_smooth",
+          "transforms": [{"kind": "rescale", "lam": 1.0, "tau": 1e-180}]},
+         "rescale by lam=1.0, tau=1e-180 overflows or underflows: lam/tau, lam/tau^2, "
+         "lam*tau and lam^2/tau must be finite and > 0"),
+        ({"family": "preset", "preset": "ex_3_4_smooth",
+          "overrides": {"box": [[-1e308, 1e308], [-1, 1]]}},
+         "box width must be finite, got (-1e+308, 1e+308)"),
     ])
     def test_is_input_error(self, tmp_path, capsys, doc, message):
         code, out, err = self._certify(tmp_path, capsys, doc)
@@ -835,6 +850,26 @@ _PROBE_ARGV = st.builds(
 )
 
 
+_HUGE = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+_TRANSFORMS = st.one_of(
+    # lam and tau log-uniform over [1e-300, 1e300]
+    st.tuples(st.floats(-300, 300), st.floats(-300, 300)).map(
+        lambda e: {"kind": "rescale", "lam": 10.0 ** e[0], "tau": 10.0 ** e[1]}),
+    st.one_of(_HUGE, st.floats(-1e308, 1e308)).map(lambda a: {"kind": "rotation", "angle": a}),
+    st.lists(st.one_of(_HUGE, st.sampled_from([0.0, 1.0, -2.5])), min_size=2, max_size=3).map(
+        lambda v: {"kind": "boost", "velocity": v}),
+)
+
+
+@st.composite
+def _transformed_specs(draw):
+    """A preset's exported spec document with one to three transforms appended."""
+    doc = json.loads(_exported(draw(st.sampled_from(preset_ids()))))
+    doc["transforms"] = doc.get("transforms", []) + draw(st.lists(_TRANSFORMS, min_size=1,
+                                                                  max_size=3))
+    return doc
+
+
 class TestContract:
     """Whatever the flags: exit code 0, 1 or 2, no traceback, and stdout
     either empty (exit 2) or the command's document; the document is strict
@@ -864,9 +899,8 @@ class TestContract:
     def test_probe_exit_code_and_output(self, argv):
         self.assert_contract(argv)
 
-    @given(doc=_mutated_specs())
-    @settings(max_examples=25, deadline=None)
-    def test_spec_file_exit_code_and_output(self, doc):
+    @staticmethod
+    def assert_spec_contract(doc):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "spec.json")
@@ -879,6 +913,16 @@ class TestContract:
         assert (out.getvalue() == "") == (code == 2)
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    @given(doc=_mutated_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_spec_file_exit_code_and_output(self, doc):
+        self.assert_spec_contract(doc)
+
+    @given(doc=_transformed_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_transformed_spec_exit_code_and_output(self, doc):
+        self.assert_spec_contract(doc)
 
 
 class TestImports:

@@ -18,6 +18,7 @@ from eulercert.expressions import (
     format_expr,
     parse,
 )
+from eulercert.expressions import _has_zero, _int_exponent, _nonpositive
 
 
 def jet_at(text, x, params=None, var="x"):
@@ -333,3 +334,48 @@ def test_eval_real_uses_compiled_values():
     f = compile_real(ast)
     for r in (0.3, 1.0, 2.7):
         assert f(r) == eval_real(ast, r) == eval_jet(ast, Jet2.variable(r)).value
+
+
+# The domain checks take ndarray methods for a float64 array and an isinstance
+# test for a float; the numpy-wrapper forms they replaced are the oracle.
+_SPECIALS = [0.0, -0.0, 1.5, -2.0, 5e-324, math.nan, -math.nan, math.inf, -math.inf]
+_DOMAIN_VALUES = (
+    _SPECIALS
+    + [np.float64(v) for v in _SPECIALS]
+    + [np.array(v) for v in _SPECIALS]  # 0-d arrays
+    + [np.array([1.0, v]) for v in _SPECIALS] + [np.array([v, v]) for v in _SPECIALS]
+    + [np.array([], dtype=float), np.ones((2, 3)), np.array([[1.0, 0.0], [2.0, -0.0]]),
+       np.array([1.0, 0.0])[::2], np.array([0, 1]), np.array([1, 2]), np.array([-1, 3]),
+       np.array(0), np.array([1.5, 0.0], dtype=np.float32), np.array([1.0, 0.0], dtype=">f8"),
+       0, 3, -1, [1.0, 0.0], (2.0, 3.0)]
+)
+
+
+@pytest.mark.parametrize("v", _DOMAIN_VALUES, ids=lambda v: " ".join(repr(v).split()))
+def test_domain_checks_agree_with_the_numpy_forms(v):
+    has_zero = v == 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) == 0.0))
+    nonpositive = v <= 0.0 if isinstance(v, float) else bool(np.any(np.asarray(v) <= 0.0))
+    assert _has_zero(v) == has_zero
+    assert _nonpositive(v) == nonpositive
+
+
+def _old_int_exponent(expo):
+    expo_constant = (np.ndim(expo.d1) == 0 and np.ndim(expo.d2) == 0 and expo.d1 == 0.0
+                     and expo.d2 == 0.0 and np.ndim(expo.value) == 0)
+    if expo_constant and float(expo.value).is_integer() and abs(expo.value) <= 1000:
+        return int(expo.value)
+    return None
+
+
+_EXPONENT_VALUES = [2.0, -3.0, 0.0, -0.0, 2.5, 1000.0, 1001.0, math.nan, math.inf, -math.inf,
+                    np.float64(4.0), np.array(2.0), np.array(2.5), np.array([2.0]), np.ones(3)]
+_DERIVATIVES = [0.0, -0.0, 1.0, math.nan, np.float64(0.0), np.array(0.0), np.zeros(1),
+                np.zeros(2)]
+
+
+@pytest.mark.parametrize("value", _EXPONENT_VALUES, ids=repr)
+def test_int_exponent_agrees_with_the_ndim_form(value):
+    for d1 in _DERIVATIVES:
+        for d2 in _DERIVATIVES + [None]:
+            expo = Jet2(value, d1, d2)
+            assert _int_exponent(expo) == _old_int_exponent(expo), (d1, d2)

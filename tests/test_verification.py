@@ -24,6 +24,7 @@ from eulercert.fields import (
     MovingPoint,
     SpaceTimePoint,
     VelocityJet,
+    row_norm,
 )
 from eulercert.verification import (
     FD_CLEARANCE_FRACTION,
@@ -42,10 +43,12 @@ from eulercert.verification import (
     splitmix64_stream,
     vorticity_transport_residual,
     _clearance_capped_steps,
+    _exact_sum,
     _fd1,
     _fd2,
     _fd_pressure_gradient,
     _rel_discrepancy,
+    _residual_batch,
     _row_max,
     _sample_arrays,
     _shifted,
@@ -406,6 +409,23 @@ class TestRegionValidation:
         with pytest.raises(RegionError, match=message):
             SampleRegion(box=box, time=time, count=5)
 
+    # finite bounds whose difference overflows: the sampler's lo + u (hi - lo)
+    # would draw inf
+    @pytest.mark.parametrize("box, time, message", [
+        (((-1e308, 1e308), (-1.0, 1.0)), (0.0, 1.0), "box width must be finite"),
+        (((-1.0, 1.0), (-1.7e308, 1.7e308)), (0.0, 1.0), "box width must be finite"),
+        (((-1.0, 1.0), (-1.0, 1.0)), (-1e308, 1e308), "time interval length must be finite"),
+    ])
+    def test_overflowing_width_rejected(self, box, time, message):
+        with pytest.raises(RegionError, match=message):
+            SampleRegion(box=box, time=time, count=5)
+
+    def test_widest_finite_box_accepted(self):
+        region = SampleRegion(box=((-8e307, 8e307), (0.0, 1.7976931348623157e308)),
+                              time=(0.0, 1.0), count=5)
+        X, _ = _sample_arrays(region, SingularSetDescriptor(), 1.0)
+        assert np.isfinite(X).all()
+
 
 class TestRowMax:
     @pytest.mark.parametrize("cols", [1, 2, 3, 4, 9])
@@ -623,3 +643,55 @@ class TestInPlaceStencilBits:
         assert _same_bits(got2, want2)
         assert _same_bits(got_d, want_d)
         assert [a.tobytes() for a in (fm2, fm1, f0, fp1, fp2, h)] == before
+
+
+_BOUNDARY_FLOATS = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                    1.0, 1.9999999999999998, 1.7e308, 1.7976931348623157e308]
+_NONNEG_ROW = st.one_of(
+    st.sampled_from(_BOUNDARY_FLOATS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    # the bit patterns of every finite double >= +0.0, so every exponent
+    st.integers(0, 0x7FEFFFFFFFFFFFFF).map(lambda b: float(np.int64(b).view(np.float64))),
+)
+# rows that send the array to fsum: a sign bit set, NaN or an infinity
+_FALLBACK_ROW = st.sampled_from([-0.0, -5e-324, -1.0, -1.7e308, math.nan, -math.nan,
+                                 math.inf, -math.inf])
+
+
+def _fsum_outcome(f, x):
+    """The bits of ``f(x)``, or the type and text of what it raised."""
+    try:
+        return np.float64(f(x)).view(np.uint64)
+    except (OverflowError, ValueError) as e:  # an overflow, or inf - inf
+        return type(e), str(e)
+
+
+class TestExactSum:
+    """certify's exact mean sums the residuals without a Python list; the sum
+    is ``math.fsum`` of the list, bit for bit."""
+
+    @given(rows=st.lists(_NONNEG_ROW, min_size=1, max_size=40),
+           fallback=st.lists(_FALLBACK_ROW, max_size=2), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_fsum_of_the_list(self, rows, fallback, data):
+        for row in fallback:
+            rows.insert(data.draw(st.integers(0, len(rows))), row)
+        x = np.array(rows, dtype=np.float64)
+        assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(lambda a: math.fsum(a.tolist()), x)
+
+    @pytest.mark.parametrize("x", [
+        np.array([5e-324]), np.array([1.7976931348623157e308]), np.array([0.0]),
+        np.full(3, 1.7976931348623157e308),  # overflows: fsum's OverflowError
+        np.full(100_000, 1.9999999999999998),  # 10^5 full significands in one bin
+        np.full(100_000, 5e-324),
+        np.random.default_rng(3).random(10_000) * np.logspace(-300, 300, 10_000),
+    ], ids=["min-subnormal", "max", "zero", "overflow", "full-bin", "subnormal-bin", "spread"])
+    def test_edge_arrays(self, x):
+        assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(lambda a: math.fsum(a.tolist()), x)
+
+    def test_certify_mean_is_the_fsum_mean(self):
+        sol = preset("ex_3_4_smooth")
+        region = default_region(sol, count=2000, seed=3)
+        X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
+        res = row_norm(_residual_batch(sol, X, T, sol.velocity_jet(X, T)))
+        assert certify(sol, region).mean_residual == math.fsum(res.tolist()) / len(res)
