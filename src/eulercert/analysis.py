@@ -131,11 +131,19 @@ def _check_vector(sol: SolutionPair, v, name: str):
 
 
 def _tail_integral(kappa: float, m: float, q: float, R: float) -> float:
-    """integral over r > R of 2 pi r (kappa / r^m)^q dr, finite when m q > 2."""
+    """integral over r > R of 2 pi r (kappa / r^m)^q dr, finite when m q > 2;
+    a finite integral that overflows a float is an error."""
     p = m * q - 2.0
     if p <= 0:
         return math.inf
-    return 2.0 * math.pi * kappa**q * R ** (-p) / p
+    try:
+        tail = 2.0 * math.pi * kappa**q * R ** (-p) / p
+    except OverflowError:
+        tail = math.inf
+    if tail == math.inf:
+        raise FieldError(f"tail bound beyond r = {R} is not representable: "
+                         f"(kappa / r^{m})^{q} with kappa = {kappa} overflows a float")
+    return tail
 
 
 def _radial_norms(sol: SolutionPair, speed, spec: NormSpec, times) -> list:

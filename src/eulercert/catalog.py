@@ -298,7 +298,6 @@ def ij_vortex(
     params: Optional[dict] = None,
     blowup_time: Optional[float] = None,
     exclusion_radius: float = 1e-3,
-    name: str = "ij_vortex",
 ) -> SolutionPair:
     """Planar vortex with circulation profile c(t) and radial profile h(r).
 
@@ -424,14 +423,12 @@ def ij_vortex(
         pressure_cut=(MovingLine((0.0, 1.0), 0.0, 0.0),),
     )
 
-    tmax = 0.9 * blowup_time if blowup_time is not None else 1.0
     metadata = {
-        "name": name,
         "family": "ij_vortex",
         "params": _recorded(c=_spec_text(c), h=_spec_text(h), values=dict(params),
                             exclusion_radius=exclusion_radius, blowup_time=blowup_time),
         "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
-        "default_time": (0.0, tmax),
+        "default_time": (0.0, 1.0),
         "pressure_branch": "angle(x1, x2) in (-pi, pi], cut on {x1 = 0, x2 <= 0}",
         "transform_chain": [],
     }
@@ -518,7 +515,6 @@ def twin_wave(
     params: Optional[dict] = None,
     singular_offsets: Sequence[float] = (),
     exclusion_radius: float = 1e-3,
-    name: str = "twin_wave",
 ) -> SolutionPair:
     """Traveling wave u = (v(xi) + c1, c3 v(xi) + c2) with constant pressure.
 
@@ -533,7 +529,6 @@ def twin_wave(
     speed = c3 * c1 - c2
     lines = tuple(MovingLine((c3, -1.0), float(off), speed) for off in singular_offsets)
     metadata = {
-        "name": name,
         "family": "twin_wave",
         "params": _recorded(v=_spec_text(v), c1=c1, c2=c2, c3=c3, values=dict(params),
                             exclusion_radius=exclusion_radius,
@@ -558,7 +553,6 @@ def linear3d(
     sigma: float = 0.0,
     params: Optional[dict] = None,
     blowup_time: Optional[float] = None,
-    name: str = "linear3d",
 ) -> SolutionPair:
     """Linear field u = f(t) C x with C symmetric and trace free.
 
@@ -618,14 +612,12 @@ def linear3d(
         return -0.5 * fv * fv * np.sum(Cx * Cx, axis=1) - 0.5 * fd * np.sum(X * Cx, axis=1)
 
     primitives = (BlowupTime(blowup_time),) if blowup_time is not None else ()
-    tmax = 0.9 * blowup_time if blowup_time is not None else 1.0
     metadata = {
-        "name": name,
         "family": "linear3d",
         "params": _recorded(f=_spec_text(f), C=C.tolist(), sigma=sigma, values=dict(params),
                             blowup_time=blowup_time),
         "default_box": ((-3.0, 3.0),) * 3,
-        "default_time": (0.0, tmax),
+        "default_time": (0.0, 1.0),
         "transform_chain": [],
     }
     return SolutionPair(
@@ -653,7 +645,6 @@ def ns_halfspace_blowup(
     x0: Sequence[float] = (0.0, 0.0, 0.0),
     pressure_sign: int = 1,
     exclusion_radius: float = 0.01,
-    name: str = "ns_halfspace_blowup",
 ) -> SolutionPair:
     """Viscous half-space solution blowing up at finite time T.
 
@@ -746,12 +737,10 @@ def ns_halfspace_blowup(
         primitives=(BlowupTime(T), HalfSpaceBoundary(x0)),
     )
     metadata = {
-        "name": name,
         "family": "ns_halfspace_blowup",
         "params": {"T": T, "sigma": sigma, "c": c, "x0": list(x0),
                    "pressure_sign": int(pressure_sign), "exclusion_radius": exclusion_radius},
         "default_box": ((-1.0, 1.0),) * 3,
-        "default_time": (0.0, 0.9 * T),
         "transform_chain": [],
     }
     return SolutionPair(

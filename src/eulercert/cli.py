@@ -207,8 +207,7 @@ def _construct(family: str, params: dict) -> SolutionPair:
     must be exactly keys it takes and include every key it requires."""
     # looked up on the module at call time, so that a wrapper set there applies
     ctor = getattr(catalog, family)
-    keywords = {_SPEC_KEYS.get(k, k): p for k, p in inspect.signature(ctor).parameters.items()
-                if k != "name"}
+    keywords = {_SPEC_KEYS.get(k, k): p for k, p in inspect.signature(ctor).parameters.items()}
     for key in params:
         if key not in keywords:
             raise SpecError(f"family {family!r} does not take parameter {key!r}")
@@ -247,10 +246,22 @@ def build_solution(doc: dict) -> SolutionPair:
     return sol
 
 
+def _spec_int(text: str) -> int:
+    """A JSON integer of a spec file; the builders read every number as a
+    float, so one that no float can hold is an input error."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):  # past int's digit limit, or too large
+        raise SpecError(f"spec file holds a {len(text.lstrip('-'))}-digit integer "
+                        "that no float can hold") from None
+    return value
+
+
 def load_spec_file(path: str) -> SolutionPair:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_spec_int)
     except OSError as e:
         raise SpecError(f"cannot read spec file: {e}") from None
     except UnicodeDecodeError as e:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from eulercert.cli import (
     solution_spec_for_preset,
     validate_spec,
 )
+from eulercert import catalog, cli
 from eulercert.catalog import preset, preset_ids
 from eulercert.verification import Tolerances, certify, default_region
 
@@ -183,6 +185,20 @@ class TestNorm:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("pid, lam, argv", [
+        ("ex_2_5", 1e100, ["--q", "4", "--delta", "1", "--R", "1e6"]),
+        ("ex_3_2", 1e50, ["--subtract-boost"]),  # the whole-plane energy
+    ], ids=["annulus", "energy"])
+    def test_tail_bound_that_overflows_is_an_error(self, capsys, tmp_path, pid, lam, argv):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "preset", "preset": pid,
+                                 "transforms": [{"kind": "rescale", "lam": lam, "tau": 1.0}]}))
+        code, out, err = run(capsys, "norm", str(p), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tail bound ") and "not representable" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_annulus_crossing_a_singular_line_is_input_error(self, capsys):
         code, out, err = run(capsys, "norm", "ex_3_4_singular", "--delta", "1", "--R", "2",
@@ -393,6 +409,16 @@ class TestSchemaRoundTrip:
         rb = certify(rebuilt, default_region(rebuilt, count=400, seed=3)).to_dict()
         assert json.dumps(ra) == json.dumps(rb)
 
+    @pytest.mark.parametrize("family", catalog.FAMILIES)
+    def test_constructor_parameters_are_spec_keys(self, family):
+        params = inspect.signature(getattr(catalog, family)).parameters
+        spec_keys = {cli._SPEC_KEYS.get(k, k) for k in params}
+        assert spec_keys <= set(SPEC_SCHEMA["properties"]["params"]["properties"])
+        for pid in preset_ids():
+            md = preset(pid).metadata
+            if md["family"] == family:
+                assert set(md["params"]) <= spec_keys, pid
+
     def test_validate_rejects_unknown_family(self):
         with pytest.raises(SpecError):
             validate_spec({"family": "mystery"})
@@ -453,7 +479,7 @@ _SPEC_KEYS = ["format_version", "name", "family", "preset", "params", "transform
               "lam", "tau", "box", "time", "bogus"]
 _JSON_VALUES = st.recursive(
     st.one_of(
-        st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
+        st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.just(10**400),
         st.sampled_from(["", "x", "1", "1/(T - t)", "boost", "rescale", "preset", "ij_vortex",
                          "ex_2_5"]),
         st.sampled_from([[0.5, -2.0], [1, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
@@ -622,6 +648,7 @@ class TestInputValidation:
 
 
 VORTEX = {"c": "1", "h": "-1/r^2 + 1/(1+r^2)^2"}
+_HUGE_INT = "spec file holds a 401-digit integer that no float can hold"
 
 
 class TestSpecInputErrors:
@@ -676,6 +703,18 @@ class TestSpecInputErrors:
         ({"family": "preset", "preset": "ex_3_4_smooth",
           "overrides": {"box": [[-1e308, 1e308], [-1, 1]]}},
          "box width must be finite, got (-1e+308, 1e+308)"),
+        # an integer that no float can hold, wherever the spec reads a number
+        ({"family": "preset", "preset": "ex_2_5",
+          "transforms": [{"kind": "rescale", "lam": 10**400, "tau": 1}]}, _HUGE_INT),
+        ({"family": "preset", "preset": "ex_2_5",
+          "transforms": [{"kind": "rotation", "angle": 10**400}]}, _HUGE_INT),
+        ({"family": "preset", "preset": "ex_2_5",
+          "transforms": [{"kind": "boost", "velocity": [1, 10**400]}]}, _HUGE_INT),
+        ({"family": "twin_wave", "params": {"v": "x", "c1": 10**400}}, _HUGE_INT),
+        ({"family": "preset", "preset": "ex_3_4_smooth",
+          "overrides": {"box": [[-1, 10**400], [-1, 1]]}}, _HUGE_INT),
+        ({"family": "preset", "preset": "ex_3_4_smooth",
+          "overrides": {"exclusion_radius": 10**400}}, _HUGE_INT),
     ])
     def test_is_input_error(self, tmp_path, capsys, doc, message):
         code, out, err = self._certify(tmp_path, capsys, doc)
@@ -688,7 +727,10 @@ class TestSpecInputErrors:
                         "in position 0: invalid start byte"),
         (b"[" * 100_000 + b"]" * 100_000,
          "spec file is not valid JSON: it nests too deeply to parse"),
-    ], ids=["not utf-8", "too deep"])
+        # past the digit limit of int(), which json.dumps cannot print either
+        (b'{"family": "preset", "preset": "ex_2_5", "format_version": ' + b"9" * 5000 + b"}",
+         "spec file holds a 5000-digit integer that no float can hold"),
+    ], ids=["not utf-8", "too deep", "5000 digits"])
     def test_unreadable_file_is_input_error(self, tmp_path, capsys, content, message):
         p = tmp_path / "spec.json"
         p.write_bytes(content)

@@ -27,7 +27,6 @@ from eulercert.fields import (
     row_norm,
 )
 from eulercert.verification import (
-    FD_CLEARANCE_FRACTION,
     FD_STEP1,
     PRESSURE_FD_SUBSET,
     RegionError,
@@ -42,11 +41,11 @@ from eulercert.verification import (
     sample_points,
     splitmix64_stream,
     vorticity_transport_residual,
-    _clearance_capped_steps,
     _exact_sum,
     _fd1,
     _fd2,
     _fd_pressure_gradient,
+    _fd_steps,
     _rel_discrepancy,
     _residual_batch,
     _row_max,
@@ -513,8 +512,7 @@ class TestFusedPressurePanel:
             return sol.pressure_value(Y, S)
 
         got = _fd_pressure_gradient(replace(sol, pressure_value=counting), X, T)
-        hx, _ = _clearance_capped_steps(X, T, sol.singular.clearance(X, T), FD_STEP1,
-                                        FD_CLEARANCE_FRACTION)
+        hx = _fd_steps(X, T, sol.singular.clearance(X, T))[0]
         want = np.stack([_fd1(_shifted(sol.pressure_value, X, T, j, hx[:, j]), hx[:, j])
                          for j in range(X.shape[1])], axis=1)
         assert len(X) == PRESSURE_FD_SUBSET
