@@ -131,8 +131,11 @@ def _check_vector(sol: SolutionPair, v, name: str):
 
 
 def _tail_integral(kappa: float, m: float, q: float, R: float) -> float:
-    """integral over r > R of 2 pi r (kappa / r^m)^q dr, finite when m q > 2;
-    a finite integral that overflows a float is an error."""
+    """integral over r > R of 2 pi r (kappa / r^m)^q dr, finite when m q > 2
+    or kappa = 0 (the field vanishes); a finite integral that overflows a
+    float is an error."""
+    if kappa == 0.0:
+        return 0.0
     p = m * q - 2.0
     if p <= 0:
         return math.inf
@@ -247,7 +250,7 @@ def l2_energy_difference(sol: SolutionPair, C: Sequence[float], t: float = 0.0) 
     if env is None:
         return EnergyResult(None, math.inf, "divergent or unknown: no decay envelope registered")
     kappa, m, exact = env
-    if 2.0 * m <= 2.0:
+    if kappa != 0.0 and 2.0 * m <= 2.0:
         kind = "log-divergent" if 2.0 * m == 2.0 else "divergent"
         return EnergyResult(None, math.inf, f"{kind}: envelope decays like r^-{m}")
 
@@ -417,7 +420,7 @@ def _affine_solution(v1: ExprAst, v2: ExprAst, c1: float, c2: float,
     return catalog._phase_pair(
         (v1, v2), params, (1.0, 1.0), None, phase,
         singular=SingularSetDescriptor(primitives=(MovingLine((0.0, 1.0), 0.0, c2),)),
-        metadata={"name": "affine_probe", "family": "affine_probe", "transform_chain": []},
+        metadata={"name": "affine_probe", "family": "affine_probe"},
     )
 
 
@@ -479,8 +482,7 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
     sol = catalog._phase_pair(
         (p1, p2), params, (1.0, 1.0), (c1, c2), catalog._wave_phase(c3, speed),
         singular=SingularSetDescriptor(),
-        metadata={"name": "twin_wave_form_check", "family": "twin_wave_probe",
-                  "transform_chain": []},
+        metadata={"name": "twin_wave_form_check", "family": "twin_wave_probe"},
     )
     result = _probe_sup(sol, grid, include_divergence=False)
     verdict = (

@@ -60,7 +60,7 @@ __all__ = [
     "PRESET_SUMMARIES",
 ]
 
-ExprLike = Union[str, float, ExprAst]
+ExprLike = Union[str, float]
 
 # The family constructors, by name.  Callers look a constructor up on this
 # module, so that a wrapper set on the module's attribute sees the call.
@@ -70,13 +70,7 @@ FAMILIES = ("ij_vortex", "twin_wave", "linear3d", "ns_halfspace_blowup")
 def _as_ast(expr: ExprLike, variable: str) -> ExprAst:
     if isinstance(expr, str):
         return parse(expr, variable)
-    if isinstance(expr, (int, float)):
-        return Num(float(expr))
-    return expr
-
-
-def _spec_text(expr: ExprLike):
-    return expr if isinstance(expr, (str, int, float)) else "<ast>"
+    return Num(float(expr))
 
 
 def _recorded(**params) -> dict:
@@ -176,10 +170,7 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
             edges[:, -1] = b[s]
             mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
             x = mid + half * nodes  # (node, row, panel)
-            f = func(x, rows[s])
-            if np.shape(f) != x.shape:
-                f = np.broadcast_to(f, x.shape)
-            est[s] = (_node_sum(f * weights) * half).sum(axis=1)
+            est[s] = (_node_sum(func(x, rows[s]) * weights) * half).sum(axis=1)
         keep = ~_accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev, a, b, ratio = (v[keep] for v in (rows, est, a, b, ratio))
         if len(rows) and m >= QUAD_MAX_PANELS:
@@ -374,9 +365,9 @@ def ij_vortex(
 
     def pressure_gradient(X, T):
         r = _radius(X)
-        g, cdot = _g_jet(r, T)
+        g, cdot = _g_jet(r, T, order=1)
         y1, y2 = X[:, 0], X[:, 1]
-        ir2 = 1.0 / (r * r)
+        ir2 = _inverse_square(r)
         g2 = g.value * g.value
         return np.stack(
             [-cdot * ir2 * y2 + g2 * y1, cdot * ir2 * y1 + g2 * y2], axis=1
@@ -425,12 +416,10 @@ def ij_vortex(
 
     metadata = {
         "family": "ij_vortex",
-        "params": _recorded(c=_spec_text(c), h=_spec_text(h), values=dict(params),
+        "params": _recorded(c=c, h=h, values=dict(params),
                             exclusion_radius=exclusion_radius, blowup_time=blowup_time),
-        "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
-        "default_time": (0.0, 1.0),
-        "pressure_branch": "angle(x1, x2) in (-pi, pi], cut on {x1 = 0, x2 <= 0}",
-        "transform_chain": [],
+        "pressure_branch": "angle(y1, y2) in (-pi, pi] of the point y in the vortex frame, "
+                           "before any transform; cut on {y1 = 0, y2 <= 0}",
     }
     return SolutionPair(
         dimension=2,
@@ -530,12 +519,9 @@ def twin_wave(
     lines = tuple(MovingLine((c3, -1.0), float(off), speed) for off in singular_offsets)
     metadata = {
         "family": "twin_wave",
-        "params": _recorded(v=_spec_text(v), c1=c1, c2=c2, c3=c3, values=dict(params),
+        "params": _recorded(v=v, c1=c1, c2=c2, c3=c3, values=dict(params),
                             exclusion_radius=exclusion_radius,
                             singular_xi=list(singular_offsets)),
-        "default_box": ((-3.0, 3.0), (-3.0, 3.0)),
-        "default_time": (0.0, 1.0),
-        "transform_chain": [],
     }
     return _phase_pair(v_ast, params, (1.0, c3), (c1, c2), _wave_phase(c3, speed),
                        singular=SingularSetDescriptor(lines),
@@ -614,11 +600,8 @@ def linear3d(
     primitives = (BlowupTime(blowup_time),) if blowup_time is not None else ()
     metadata = {
         "family": "linear3d",
-        "params": _recorded(f=_spec_text(f), C=C.tolist(), sigma=sigma, values=dict(params),
+        "params": _recorded(f=f, C=C.tolist(), sigma=sigma, values=dict(params),
                             blowup_time=blowup_time),
-        "default_box": ((-3.0, 3.0),) * 3,
-        "default_time": (0.0, 1.0),
-        "transform_chain": [],
     }
     return SolutionPair(
         dimension=3,
@@ -740,8 +723,6 @@ def ns_halfspace_blowup(
         "family": "ns_halfspace_blowup",
         "params": {"T": T, "sigma": sigma, "c": c, "x0": list(x0),
                    "pressure_sign": int(pressure_sign), "exclusion_radius": exclusion_radius},
-        "default_box": ((-1.0, 1.0),) * 3,
-        "transform_chain": [],
     }
     return SolutionPair(
         dimension=3,
@@ -754,6 +735,7 @@ def ns_halfspace_blowup(
         exclusion_radius=exclusion_radius,
         metadata=metadata,
         boundary_speed=lambda t: 3.0 / math.sqrt(T - float(t)),
+        default_box=((-1.0, 1.0),) * 3,
     )
 
 
@@ -818,11 +800,14 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
           Q: Optional[np.ndarray] = None, C: Optional[np.ndarray] = None) -> SolutionPair:
     """The pair w(x,t) = (lam/tau) Q^T u(Q (x - C t)/lam, t/tau) + C, with
     grad pbar = (lam/tau^2) Q^T grad p and pbar = (lam/tau)^2 p at the same
-    point, viscosity sigma lam^2 / tau, exclusion radius lam r, and the
-    singular set (``SingularSetDescriptor.moved``) and facts moved alike.
+    point, viscosity sigma lam^2 / tau, exclusion radius lam r, default box
+    lam times and default time interval tau times the pair's (a boost or a
+    rotation keeps the sampling region), and the singular set
+    (``SingularSetDescriptor.moved``) and facts moved alike.
 
-    ``entry`` extends the transform chain.  A factor that is exactly 1, or an
-    absent Q or C, is skipped: no bit changes, and the hot paths skip its work.
+    ``entry`` extends the transform chain, the one ``metadata`` entry a
+    transform changes.  A factor that is exactly 1, or an absent Q or C, is
+    skipped: no bit changes, and the hot paths skip its work.
     """
     base_v, base_j, base_jac = sol.velocity, sol.velocity_jet, sol.velocity_jacobian
     base_pg, base_pv = sol.pressure_gradient, sol.pressure_value
@@ -890,9 +875,8 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         c = base_cut(*pull(X, T))
         return lam * c if scaled else c
 
-    md = dict(sol.metadata)
-    md["transform_chain"] = list(md.get("transform_chain", [])) + [entry]
-    mapped = {}  # the scaled constants and the analytic facts
+    chain = sol.metadata.get("transform_chain", []) + [entry]
+    mapped = {}  # the scaled constants, the sampling region and the analytic facts
     if C is not None or sol.boost_total is not None:
         total = np.zeros(sol.dimension) if sol.boost_total is None else np.asarray(sol.boost_total)
         if Q is not None:
@@ -902,14 +886,12 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         mapped["boost_total"] = tuple(map(float, total if C is None else total + C))
     # the facts describe |w - boost_total|, which a boost or a rotation keeps
     if scaled:
+        t0, t1 = sol.default_time
         mapped.update(viscosity=sol.viscosity * lam * lam / tau,
-                      exclusion_radius=lam * sol.exclusion_radius)
+                      exclusion_radius=lam * sol.exclusion_radius,
+                      default_box=tuple((lam * lo, lam * hi) for lo, hi in sol.default_box),
+                      default_time=(tau * t0, tau * t1))
         speed, boundary, ball = sol.radial_speed, sol.boundary_speed, sol.sup_speed_unit_ball
-        if "default_box" in md:
-            md["default_box"] = tuple((lam * lo, lam * hi) for lo, hi in md["default_box"])
-        if "default_time" in md:
-            t0, t1 = md["default_time"]
-            md["default_time"] = (tau * t0, tau * t1)
         if speed is not None:
             mapped["radial_speed"] = lambda r, t: amp * speed(np.asarray(r) / lam,
                                                               np.asarray(t) / tau)
@@ -936,7 +918,7 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         pressure_value=pressure_val if base_pv is not None else None,
         pressure_cut_clearance=cut if base_cut is not None else None,
         singular=sol.singular.moved(lam, tau, Q, C),
-        metadata=md,
+        metadata={**sol.metadata, "transform_chain": chain},
         **mapped,
     )
 

@@ -228,22 +228,21 @@ def build_solution(doc: dict) -> SolutionPair:
         sol = _construct(family, params)
     for tr in doc.get("transforms", []):
         sol = catalog.apply_transform(sol, TransformSpec.from_dict(tr))
-    md = dict(sol.metadata)
+    changes = {}
     if doc.get("name"):
-        md["name"] = doc["name"]
+        changes["metadata"] = {**sol.metadata, "name": doc["name"]}
     ov = doc.get("overrides", {})
     if "box" in ov:
-        md["default_box"] = tuple(tuple(map(float, b)) for b in ov["box"])
+        changes["default_box"] = tuple(tuple(map(float, b)) for b in ov["box"])
     if "time" in ov:
         T = sol.singular.blowup_time()
         if T is not None:
             raise SpecError(f"overrides.time does not apply: a solution with blow-up time {T} "
                             "is sampled from 0 up to --until times its blow-up time")
-        md["default_time"] = tuple(map(float, ov["time"]))
-    sol = replace(sol, metadata=md)
+        changes["default_time"] = tuple(map(float, ov["time"]))
     if "exclusion_radius" in ov:
-        sol = replace(sol, exclusion_radius=float(ov["exclusion_radius"]))
-    return sol
+        changes["exclusion_radius"] = float(ov["exclusion_radius"])
+    return replace(sol, **changes)
 
 
 def _spec_int(text: str) -> int:
@@ -286,7 +285,7 @@ def solution_spec_for_preset(preset_id: str) -> dict:
         "name": preset_id,
         "family": md["family"],
         "params": dict(md["params"]),
-        "transforms": list(md["transform_chain"]),
+        "transforms": list(md.get("transform_chain", [])),
     }
 
 

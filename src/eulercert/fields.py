@@ -384,10 +384,21 @@ class SolutionPair:
     boundary_speed: Optional[Callable] = None  # t -> speed on the half-space boundary
     sup_speed_unit_ball: Optional[Callable] = None  # t -> sup of the speed on the unit ball
     boost_total: Optional[tuple] = None  # accumulated boost C, the co-moving frame's velocity
+    # The default sampling region, mapped by ``catalog._step`` with the field:
+    # a box ((lo, hi), ...), (-3, 3) on every axis unless given, and a time
+    # interval, which a blow-up time overrides (``verification.default_region``).
+    default_box: Optional[tuple] = None
+    default_time: tuple = (0.0, 1.0)
+
+    def __post_init__(self):
+        if self.default_box is None:
+            object.__setattr__(self, "default_box", ((-3.0, 3.0),) * self.dimension)
 
     # -- single-point conveniences ------------------------------------------
 
     def check_admissible(self, point: SpaceTimePoint):
+        """The batch-of-one ``(X, T)`` of an admissible point of the pair's
+        dimension; raises FieldError for any other point."""
         if point.dim != self.dimension:
             raise FieldError(f"point dimension {point.dim} != solution dimension {self.dimension}")
         X, T = point.arrays()
@@ -395,16 +406,13 @@ class SolutionPair:
             raise InadmissiblePointError(
                 f"point {point.x} at t={point.t} is within {self.exclusion_radius} of the singular set"
             )
+        return X, T
 
     def velocity_at(self, point: SpaceTimePoint) -> np.ndarray:
-        self.check_admissible(point)
-        X, T = point.arrays()
-        return self.velocity(X, T)[0]
+        return self.velocity(*self.check_admissible(point))[0]
 
     def pressure_gradient_at(self, point: SpaceTimePoint) -> np.ndarray:
-        self.check_admissible(point)
-        X, T = point.arrays()
-        return self.pressure_gradient(X, T)[0]
+        return self.pressure_gradient(*self.check_admissible(point))[0]
 
     @property
     def name(self) -> str:
@@ -505,8 +513,7 @@ def vorticity(sol: SolutionPair, point: SpaceTimePoint) -> float:
     """Scalar vorticity du2/dx1 - du1/dx2 of a 2D solution."""
     if sol.dimension != 2:
         raise FieldError("vorticity is defined for 2D solutions only")
-    sol.check_admissible(point)
-    return float(vorticity_batch(sol, *point.arrays())[0])
+    return float(vorticity_batch(sol, *sol.check_admissible(point))[0])
 
 
 def vorticity_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -523,8 +530,7 @@ def vorticity_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray) -> np.ndarr
 
 def pressure_value(sol: SolutionPair, point: SpaceTimePoint) -> PressureInfo:
     """Pressure gradient plus, where defined, a branch-consistent value."""
-    sol.check_admissible(point)
-    X, T = point.arrays()
+    X, T = sol.check_admissible(point)
     grad = sol.pressure_gradient(X, T)[0]
     if sol.pressure_value is None:
         return PressureInfo(gradient=grad)

@@ -38,6 +38,7 @@ from .fields import (
     SingularSetDescriptor,
     SolutionPair,
     SpaceTimePoint,
+    VelocityJet,
     row_max as _row_max,
     row_norm,
     vorticity_batch,
@@ -296,17 +297,14 @@ def _residual_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray, jet) -> np.
 
 def momentum_residual(sol: SolutionPair, point: SpaceTimePoint) -> np.ndarray:
     """u_t + (u . grad) u + grad p - sigma lap u at one admissible point."""
-    sol.check_admissible(point)
-    X, T = point.arrays()
+    X, T = sol.check_admissible(point)
     return _residual_batch(sol, X, T, sol.velocity_jet(X, T))[0]
 
 
 def divergence(sol: SolutionPair, point: SpaceTimePoint) -> float:
     """Trace of the velocity Jacobian."""
-    sol.check_admissible(point)
-    X, T = point.arrays()
-    jet = sol.velocity_jet(X, T)
-    return float(np.trace(jet.jacobian[0]))
+    X, T = sol.check_admissible(point)
+    return float(_divergence_batch(sol, X, T, sol.velocity_jet(X, T))[0])
 
 
 def _divergence_batch(sol: SolutionPair, X, T, jet) -> np.ndarray:
@@ -447,8 +445,7 @@ def fd_crosscheck(sol: SolutionPair, point: SpaceTimePoint, h: Optional[float] =
     """
     if h is not None and not (math.isfinite(h) and h > 0):
         raise FieldError(f"finite-difference step must be finite and > 0, got {h}")
-    sol.check_admissible(point)
-    X, T = point.arrays()
+    X, T = sol.check_admissible(point)
     if h is None:
         return float(_fd_panel(sol, X, T)[0])
     if float(sol.singular.clearance(X, T)[0]) < 2.5 * FD_STEP2_FACTOR * h:
@@ -483,11 +480,7 @@ def residual_fd_only(sol: SolutionPair, X, T) -> np.ndarray:
     """
     u = sol.velocity(X, T)
     steps = _fd_steps(X, T, sol.singular.clearance(X, T))
-    jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
-    res = dt_fd + np.einsum("nij,nj->ni", jac_fd, u) + sol.pressure_gradient(X, T)
-    if sol.viscosity != 0.0:
-        res = res - sol.viscosity * lap_fd
-    return res
+    return _residual_batch(sol, X, T, VelocityJet(u, *_fd_velocity_jet(sol, X, T, steps, u)))
 
 
 def _vorticity_transport_batch(sol: SolutionPair, X, T, u, clear) -> np.ndarray:
@@ -508,8 +501,7 @@ def vorticity_transport_residual(sol: SolutionPair, point: SpaceTimePoint) -> fl
     """Residual of the planar vorticity transport law at one point."""
     if sol.dimension != 2:
         raise FieldError("vorticity transport is defined for 2D solutions only")
-    sol.check_admissible(point)
-    X, T = point.arrays()
+    X, T = sol.check_admissible(point)
     u, clear = sol.velocity(X, T), sol.singular.clearance(X, T)
     return float(_vorticity_transport_batch(sol, X, T, u, clear)[0])
 
@@ -523,16 +515,12 @@ def default_region(sol: SolutionPair, count: int = 10_000, seed: int = 0,
                    until: float = 0.9) -> SampleRegion:
     """Solution-appropriate sampling region.
 
-    Box and time interval come from the solution metadata; for entries with
-    a blow-up time the interval ends at ``until`` times it.
+    The pair's ``default_box`` and ``default_time``; for entries with a
+    blow-up time the interval ends at ``until`` times it instead.
     """
-    box = sol.metadata.get("default_box", ((-3.0, 3.0),) * sol.dimension)
     T = sol.singular.blowup_time()
-    if T is not None:
-        time = (0.0, until * T)
-    else:
-        time = sol.metadata.get("default_time", (0.0, 1.0))
-    return SampleRegion(box=tuple(box), time=tuple(time), count=count, seed=seed)
+    time = sol.default_time if T is None else (0.0, until * T)
+    return SampleRegion(box=tuple(sol.default_box), time=tuple(time), count=count, seed=seed)
 
 
 def _validate_region(sol: SolutionPair, region: SampleRegion):

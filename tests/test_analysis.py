@@ -612,3 +612,66 @@ class TestRadialPath:
             one = annulus_lq_norm(sol, dataclasses.replace(spec, t=t))
             assert one.value_pow_q.hex() == res.value_pow_q.hex(), t
             assert one == res
+
+
+class TestZeroField:
+    """ex_2_5 at t = 1 and ex_2_6 at t = 0 have u = 0 everywhere, and the
+    envelope's kappa is exactly 0: zero energy and norms, not a divergence."""
+
+    @pytest.mark.parametrize("pid, t", [("ex_2_5", 1.0), ("ex_2_6", 0.0)])
+    def test_planar_energy_is_zero(self, pid, t):
+        res = l2_energy_difference(preset(pid), (0.0, 0.0), t=t)
+        assert (res.value, res.tail_bound, res.diagnosis) == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize("pid, t", [("ex_2_5", 1.0), ("ex_2_6", 0.0)])
+    def test_improper_norm_is_zero(self, pid, t):
+        res = annulus_lq_norm(preset(pid), NormSpec(q=2, delta=1.0, R=math.inf, t=t))
+        assert (res.value, res.value_pow_q, res.tail_bound) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.999, 1.001])
+    def test_other_times_stay_log_divergent(self, t):
+        res = l2_energy_difference(preset("ex_2_5"), (0.0, 0.0), t=t)
+        assert res.value is None and res.diagnosis.startswith("log-divergent")
+
+
+class TestImproperNorms:
+    def test_ex_3_2_exterior_norm_has_a_bounded_tail(self):
+        # |u - C| = r/(1+r^2)^2 about C t; pi times the integral of s/(1+s)^4
+        # over s > 1 is pi/12, and the r^-3 envelope bounds the tail past R_MAX
+        sol = preset("ex_3_2")
+        res = annulus_lq_norm(sol, NormSpec(q=2, delta=1.0, R=math.inf, t=0.4,
+                                            subtract=sol.boost_total))
+        assert 0.0 < res.tail_bound <= 2.0 * math.pi / (4.0 * analysis.R_MAX**4)
+        assert "tail bounded" in res.provenance
+        assert abs(res.value_pow_q - math.pi / 12.0) <= res.tail_bound + 1e-12
+
+    @pytest.mark.parametrize("build, spec, message", [
+        (lambda: ij_vortex("1", "-1/r^2 + 1/(1+r^2)^2"),
+         NormSpec(q=2, delta=1.0, R=math.inf, t=0.0),
+         "improper norm needs a registered decay envelope"),
+        (lambda: preset("ex_2_5"), NormSpec(q=2, delta=1.0, R=math.inf, t=0.0),
+         "L\\^2 norm diverges: envelope decay r\\^-1 is not integrable"),
+        (lambda: preset("ex_5_1_const"), NormSpec(q=2, delta=1.0, R=2.0, t=0.0),
+         "annulus norms are implemented for 2D solutions"),
+        (lambda: preset("ex_3_4_smooth"), NormSpec(q=2, delta=1.0, R=math.inf, t=0.0),
+         "improper norm needs a radially structured solution"),
+    ], ids=["no envelope", "not integrable", "3D", "improper polar"])
+    def test_raises_its_stated_error(self, build, spec, message):
+        with pytest.raises(FieldError, match=message):
+            annulus_lq_norm(build(), spec)
+
+
+class TestLqFitWithoutTheRadialPath:
+    def test_boosted_vortex_fits_the_polar_norm_about_the_origin(self):
+        # a boosted vortex's radial speed is co-moving, so the lq fit of |u|
+        # takes the polar quadrature, one time at a time
+        sol = apply_transform(preset("ex_2_6"), TransformSpec.boost((1.0, 0.0)))
+        fit = blowup_exponent_fit(sol, RateFit(kind="lq", K=6))
+        for t, nrm in fit.samples:
+            want = annulus_lq_norm(sol, NormSpec(q=2.0, delta=1.0, R=2.0, t=t))
+            assert want.provenance.startswith("polar")
+            assert nrm == want.value
+
+    def test_three_dimensional_pair_has_no_lq_fit(self):
+        with pytest.raises(FieldError, match="annulus norms are implemented for 2D solutions"):
+            blowup_exponent_fit(preset("ex_5_1_blowup"), RateFit(kind="lq", K=6))

@@ -969,3 +969,63 @@ class TestColumnEvaluatorParity:
         jet = sol.velocity_jet(X, T)
         assert _bits(sol.velocity(X, T)) == _bits(jet.value)
         assert _bits(sol.velocity_jacobian(X, T)) == _bits(jet.jacobian)
+
+
+# The spec record (family, params, the transform chain a transform adds) plus
+# the preset's name and summary, and two facts no transform moves yet.
+METADATA_KEYS = {"family", "params", "transform_chain", "name", "summary",
+                 "pressure_branch", "form_symmetry_time"}
+ONE_TRANSFORM = {
+    "boost": lambda sol: apply_transform(sol, TransformSpec.boost((0.5, -1.5, 0.25)[:sol.dimension])),
+    "rotation": lambda sol: apply_transform(sol, TransformSpec.rotation(0.7)),
+    "rescale": lambda sol: apply_transform(sol, TransformSpec.rescale(2.0, 0.5)),
+}
+
+
+class TestMetadataIsTheSpecRecord:
+    """Whatever a transform changes is a typed pair field that ``_step`` maps;
+    ``metadata`` keeps the record a spec file is rebuilt from."""
+
+    @pytest.mark.parametrize("kind", [None, *ONE_TRANSFORM])
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_keys_stay_within_the_spec_record(self, pid, kind):
+        sol = preset(pid)
+        if kind == "rotation" and sol.dimension != 2:
+            return
+        if kind is not None:
+            sol = ONE_TRANSFORM[kind](sol)
+        assert set(sol.metadata) <= METADATA_KEYS
+
+    @pytest.mark.parametrize("kind", sorted(ONE_TRANSFORM))
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_a_transform_changes_only_the_chain(self, pid, kind):
+        base = preset(pid)
+        if kind == "rotation" and base.dimension != 2:
+            return
+        sol = ONE_TRANSFORM[kind](base)
+        chain = sol.metadata["transform_chain"]
+        assert chain[:-1] == base.metadata.get("transform_chain", [])
+        assert chain[-1]["kind"] == kind
+        rest = {k: v for k, v in sol.metadata.items() if k != "transform_chain"}
+        assert rest == {k: v for k, v in base.metadata.items() if k != "transform_chain"}
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_rescaled_default_region_scales_box_by_lam_and_time_by_tau(self, pid):
+        lam, tau = 2.0, 0.5  # powers of two: every product is exact
+        base = preset(pid)
+        sol = apply_transform(base, TransformSpec.rescale(lam, tau))
+        want, got = default_region(base), default_region(sol)
+        assert got.box == tuple((lam * lo, lam * hi) for lo, hi in want.box)
+        assert got.time == tuple(tau * t for t in want.time)
+
+    @pytest.mark.parametrize("kind", ["boost", "rotation"])
+    def test_boost_and_rotation_keep_the_default_region(self, kind):
+        base = preset("ex_2_5")
+        sol = ONE_TRANSFORM[kind](base)
+        assert (sol.default_box, sol.default_time) == (base.default_box, base.default_time)
+
+    def test_constructors_state_the_default_region_once(self):
+        assert preset("ex_2_5").default_box == ((-3.0, 3.0),) * 2
+        assert preset("ex_5_1_const").default_box == ((-3.0, 3.0),) * 3
+        assert preset("ex_6_1").default_box == ((-1.0, 1.0),) * 3
+        assert {preset(pid).default_time for pid in preset_ids()} == {(0.0, 1.0)}

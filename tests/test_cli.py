@@ -1161,3 +1161,85 @@ class TestBrokenPipe:
                                  "--out", str(tmp_path / "missing" / "list.json"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestOutFiles:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "ex_3_2", "--samples", "300", "--seed", "4"],
+        ["grid-dump", "ex_3_4_smooth", "--nx", "5", "--nt", "2"],
+    ], ids=lambda a: a[0])
+    def test_out_file_holds_the_bytes_of_stdout(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "ex_3_2", "--samples", "100"],
+        ["grid-dump", "ex_3_4_smooth", "--nx", "3", "--nt", "1"],
+    ], ids=lambda a: a[0])
+    def test_out_into_a_missing_directory_is_input_error(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSpecOverridesAndUsageErrors:
+    def test_overrides_exclusion_radius_reaches_the_report(self, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"family": "preset", "preset": "ex_3_4_singular",
+                                 "overrides": {"exclusion_radius": 0.6}}))
+        code, out, _ = run(capsys, "certify", str(p), "--samples", "200")
+        assert code == 0
+        assert json.loads(out)["exclusion_radius"] == 0.6
+
+    def test_truncated_spec_file_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"family": "preset", "preset": "ex_2_5"})[:-5])
+        code, out, err = run(capsys, "certify", str(p), "--samples", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spec file is not valid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "SPEC", "--pressure-sign", "-1"],
+         "--pressure-sign applies to preset ids only"),
+        (["norm", "ex_2_5", "--q", "3"], "whole-plane energy is the q = 2 norm"),
+        (["probe", "--mode", "twinwave", "--u1", "x"], "twinwave mode requires --u1 and --u2"),
+        (["grid-dump", "ex_3_2", "--box", "0", "1", "0"], "--box needs 4 numbers"),
+    ], ids=["pressure-sign with a spec", "norm q=3 without annulus", "twinwave without u2",
+            "box of the wrong length"])
+    def test_is_input_error(self, tmp_path, capsys, argv, message):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"family": "preset", "preset": "ex_6_1"}))
+        code, out, err = run(capsys, *[str(p) if a == "SPEC" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestZeroFieldNorm:
+    @pytest.mark.parametrize("pid, t", [("ex_2_5", "1"), ("ex_2_6", "0")])
+    def test_vanishing_field_has_zero_energy(self, capsys, pid, t):
+        code, out, _ = run(capsys, "norm", pid, "--t", t)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["value"], doc["tail_bound"], doc["diagnosis"]) == (0.0, 0.0, None)
+
+
+def test_reader_closing_a_large_grid_dump_early_leaves_a_quiet_exit():
+    # the dump (about 1 MB) is far larger than a pipe buffer, so the child is
+    # still writing when the reader goes away
+    import eulercert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercert.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "eulercert.cli", "grid-dump", "ex_3_4_smooth",
+                             "--nx", "64", "--nt", "3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.read(100).startswith(b"# format_version=1\n")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (0, b"")

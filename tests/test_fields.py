@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eulercert import fields
-from eulercert.catalog import ij_vortex, preset, twin_wave
+from eulercert.catalog import TransformSpec, apply_transform, ij_vortex, preset, twin_wave
 from eulercert.expressions import Jet2, eval_jet, parse
 from eulercert.fields import (
     BlowupTime,
@@ -154,6 +154,19 @@ class TestPressureValue:
         sol = ij_vortex("t", "-1/r^2")
         with pytest.raises(InadmissiblePointError):
             pressure_value(sol, pt(1.0, 0.0))
+
+    def test_branch_is_stated_in_the_vortex_frame(self):
+        # boosted by C = (1, 0), the cut {y1 = 0, y2 <= 0} of the vortex frame
+        # y = x - C t lies on x1 = 0.5 at t = 0.5; x1 = 0 is no cut there
+        sol = apply_transform(preset("ex_2_5"), TransformSpec.boost((1.0, 0.0)))
+
+        def p(x1):
+            return pressure_value(sol, pt(x1, -1.0, t=0.5))
+
+        assert p(0.5 - 1e-7).value - p(0.5 + 1e-7).value == pytest.approx(2.0 * math.pi, rel=1e-6)
+        assert p(-1e-7).value == pytest.approx(p(1e-7).value, abs=1e-6)
+        assert p(0.3).branch == pressure_value(preset("ex_2_5"), pt(0.3, -1.0)).branch
+        assert "vortex frame" in p(0.3).branch and "{y1 = 0, y2 <= 0}" in p(0.3).branch
 
 
 class TestSpaceTimePoint:

@@ -44,8 +44,10 @@ from eulercert.verification import (
     _exact_sum,
     _fd1,
     _fd2,
+    _divergence_batch,
     _fd_pressure_gradient,
     _fd_steps,
+    _fd_velocity_jet,
     _rel_discrepancy,
     _residual_batch,
     _row_max,
@@ -693,3 +695,42 @@ class TestExactSum:
         X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
         res = row_norm(_residual_batch(sol, X, T, sol.velocity_jet(X, T)))
         assert certify(sol, region).mean_residual == math.fsum(res.tolist()) / len(res)
+
+
+def _preset_samples(pid, count=25, seed=9):
+    sol = preset(pid)
+    X, T = _sample_arrays(default_region(sol, count=count, seed=seed), sol.singular,
+                          sol.exclusion_radius)
+    return sol, X, T
+
+
+class TestSinglePointThroughBatchKernels:
+    """The single-point checks and ``residual_fd_only`` run certify's batch
+    kernels; each value is bit for bit the formula they replaced."""
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_divergence_is_the_batch_row_and_the_trace(self, pid):
+        sol, X, T = _preset_samples(pid)
+        rows = _divergence_batch(sol, X, T, sol.velocity_jet(X, T))
+        for i, (x, t) in enumerate(zip(X.tolist(), T.tolist())):
+            got = divergence(sol, SpaceTimePoint(tuple(x), t))
+            one = sol.velocity_jet(X[i:i + 1], T[i:i + 1]).jacobian[0]
+            assert got.hex() == float(rows[i]).hex() == float(np.trace(one)).hex()
+
+    @pytest.mark.parametrize("pid", preset_ids())
+    def test_fd_only_residual_is_the_written_out_formula(self, pid):
+        sol, X, T = _preset_samples(pid)
+        u = sol.velocity(X, T)
+        steps = _fd_steps(X, T, sol.singular.clearance(X, T))
+        jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
+        want = dt_fd + np.einsum("nij,nj->ni", jac_fd, u) + sol.pressure_gradient(X, T)
+        if sol.viscosity != 0.0:
+            want = want - sol.viscosity * lap_fd
+        assert residual_fd_only(sol, X, T).tobytes() == want.tobytes()
+
+    def test_check_admissible_returns_the_batch_of_one(self):
+        sol = preset("ex_3_2")
+        p = SpaceTimePoint((0.4, -1.2), 0.3)
+        X, T = sol.check_admissible(p)
+        want_X, want_T = p.arrays()
+        assert X.tobytes() == want_X.tobytes() and T.tobytes() == want_T.tobytes()
