@@ -13,9 +13,10 @@ a divergence diagnosis rather than a number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from .fields import (
     SolutionPair,
     row_norm,
 )
-from .verification import SampleRegion, _residual_batch, _divergence_batch, _sample_arrays
+
+if TYPE_CHECKING:  # the probes import verification when they run
+    from .verification import SampleRegion
 
 __all__ = [
     "NormSpec",
@@ -215,16 +218,26 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
         raise FieldError("annulus norms are implemented for 2D solutions")
     if not math.isfinite(spec.R):
         raise FieldError("improper norm needs a radially structured solution")
-    t = spec.t
-    sub = np.zeros(2) if spec.subtract is None else np.asarray(spec.subtract)
+    t, q, sub = spec.t, spec.q, spec.subtract
 
     def rings(x, _):
         r = x.ravel()
 
         def along(theta, rows):
-            x, y = r[rows, None] * np.cos(theta), r[rows, None] * np.sin(theta)
-            u = sol.velocity(np.stack([x.ravel(), y.ravel()], axis=1), np.full(x.size, t)) - sub
-            return np.hypot(u[:, 0], u[:, 1]).reshape(x.shape) ** spec.q
+            """|u - subtract|^q at the points r e^(i theta) of rows ``rows``;
+            ``theta`` is one line shared by the rows or one line per row."""
+            radius = r[rows, None]
+            shape = np.broadcast_shapes(radius.shape, np.shape(theta))
+            X = np.empty(shape + (2,))
+            np.multiply(radius, np.cos(theta), out=X[..., 0])
+            np.multiply(radius, np.sin(theta), out=X[..., 1])
+            u = sol.velocity(X.reshape(-1, 2), np.full(X.size // 2, t))
+            if sub is not None:  # u - 0.0 is u bit for bit, so nothing is subtracted then
+                for k, c in enumerate(sub):
+                    u[:, k] -= c
+            speed = np.hypot(u[:, 0], u[:, 1])
+            speed **= q
+            return speed.reshape(shape)
 
         ring, _ = catalog.angular_quad(along, len(r), epsrel=1e-9, epsabs=1e-12)
         return (r * ring).reshape(x.shape)
@@ -348,7 +361,7 @@ def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> Fit
         norms = _sup_norms(sol, ts, fit.annulus)
     else:
         spec = NormSpec(q=fit.q, delta=fit.annulus[0], R=fit.annulus[1], t=ts[0])
-        speed = _radial_speed(sol, None)
+        speed = sol.radial_speed  # the co-moving |u - boost_total|, as the sup fit reads
         if speed is not None:  # one batched quadrature, one row per sample time
             norms = [r.value for r in _radial_norms(sol, speed, spec, ts)]
         else:
@@ -388,11 +401,26 @@ class ProbeResult:
     verdict: str
 
 
-DEFAULT_PROBE_REGION = SampleRegion(box=((1.0, 2.0), (1.0, 2.0)), time=(0.0, 0.5),
-                                    count=2000, seed=0)
+@functools.cache
+def _default_probe_region():
+    """The probes' grid, built on first use: a ``SampleRegion`` needs
+    ``verification``, which only the probes load."""
+    from .verification import SampleRegion
+
+    return SampleRegion(box=((1.0, 2.0), (1.0, 2.0)), time=(0.0, 0.5), count=2000, seed=0)
 
 
-def _probe_sup(sol: SolutionPair, region: SampleRegion, include_divergence: bool) -> ProbeResult:
+def __getattr__(name):  # DEFAULT_PROBE_REGION, without importing verification before a probe
+    if name == "DEFAULT_PROBE_REGION":
+        return _default_probe_region()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _probe_sup(sol: SolutionPair, region, include_divergence: bool) -> ProbeResult:
+    """The probe's sup residual over ``region``, or over DEFAULT_PROBE_REGION."""
+    from .verification import _divergence_batch, _residual_batch, _sample_arrays
+
+    region = region or _default_probe_region()
     X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
     jet = sol.velocity_jet(X, T)
     values = row_norm(_residual_batch(sol, X, T, jet))
@@ -438,7 +466,6 @@ def affine_probe(v1, v2, c1: float, c2: float,
     params = dict(params or {})
     v1 = parse(v1, "x") if isinstance(v1, str) else v1
     v2 = parse(v2, "x") if isinstance(v2, str) else v2
-    grid = grid or DEFAULT_PROBE_REGION
     sol = _affine_solution(v1, v2, c1, c2, params)
     result = _probe_sup(sol, grid, include_divergence=True)
     verdict = (
@@ -463,7 +490,6 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
     params = dict(params or {})
     p1 = parse(u1_profile, "x") if isinstance(u1_profile, str) else u1_profile
     p2 = parse(u2_profile, "x") if isinstance(u2_profile, str) else u2_profile
-    grid = grid or DEFAULT_PROBE_REGION
 
     offset = None
     for probe_xi in (0.0, 1.0, -1.0, 0.5, 2.0):

@@ -149,12 +149,17 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
     evaluates the open rows in slices of at most ANGULAR_CHUNK nodes, one
     ``func`` call each, so the working set does not grow with the row
     count.  The nodes have shape (8, rows, m), node-major, so that
-    ``_node_sum`` adds whole blocks; the panels are summed with ``sum``.  A
-    row still open after QUAD_MAX_PANELS panels (a kink or an interior
-    singularity) goes on with ``_bisect`` on [a, b] (nodes of shape
-    (panels, 8)), with that tolerance at its last estimate; it raises
-    FieldError when the bisection cannot close the row either.  A row's
-    value does not depend on the other rows.  Returns ``(values, abserr)``.
+    ``_node_sum`` adds whole blocks; the panels are summed with ``sum``.
+    Round 8 cannot close a finite row, having no previous estimate, so the
+    first call of a slice covers rounds 8 and 16 at once, (8, rows, 8 + 16):
+    the m = 8 edges are every other m = 16 edge (k/8 is 2k/16 exactly), and
+    each round's estimate sums its own panels, so every value is the one
+    the two rounds give one at a time.  A row still open after
+    QUAD_MAX_PANELS panels (a kink or an interior singularity) goes on with
+    ``_bisect`` on [a, b] (nodes of shape (panels, 8)), with that tolerance
+    at its last estimate; it raises FieldError when the bisection cannot
+    close the row either.  A row's value does not depend on the other rows.
+    Returns ``(values, abserr)``.
     """
     if np.shape(a) != np.shape(b):
         a, b = np.broadcast_arrays(a, b)
@@ -164,13 +169,27 @@ def quad(func, a, b, *, epsrel: float, epsabs: float):
     rows, prev, m = np.arange(len(a)), None, 8
     nodes, weights = (v[:, None, None] for v in _gauss_legendre())
     while len(rows):
-        est = np.empty(len(rows))
-        for s in _slices(len(rows), 8 * m):
-            edges = a[s, None] * ratio[s, None] ** _grading(m)
+        opening = prev is None  # rounds m and 2m in one call
+        fine = 2 * m if opening else m
+        est, est2 = np.empty(len(rows)), np.empty(len(rows))
+        for s in _slices(len(rows), 8 * (3 * m if opening else m)):
+            edges = a[s, None] * ratio[s, None] ** _grading(fine)
             edges[:, -1] = b[s]
-            mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
+            lo, hi = edges[:, :-1], edges[:, 1:]
+            if opening:  # k/m is 2k/2m exactly: every other edge is an m-panel edge
+                lo = np.concatenate([edges[:, :-2:2], lo], axis=1)
+                hi = np.concatenate([edges[:, 2::2], hi], axis=1)
+            mid, half = (hi + lo) / 2, (hi - lo) / 2
             x = mid + half * nodes  # (node, row, panel)
-            est[s] = (_node_sum(func(x, rows[s]) * weights) * half).sum(axis=1)
+            panels = _node_sum(func(x, rows[s]) * weights) * half
+            if opening:
+                est[s], est2[s] = panels[:, :m].sum(axis=1), panels[:, m:].sum(axis=1)
+            else:
+                est[s] = panels.sum(axis=1)
+        if opening:  # round m stores only its non-finite rows: it has no previous estimate
+            keep = ~_accept(est, None, rows, values, abserr, epsrel, epsabs)
+            rows, prev, a, b, ratio = (v[keep] for v in (rows, est, a, b, ratio))
+            est, m = est2[keep], fine
         keep = ~_accept(est, prev, rows, values, abserr, epsrel, epsabs)
         rows, prev, a, b, ratio = (v[keep] for v in (rows, est, a, b, ratio))
         if len(rows) and m >= QUAD_MAX_PANELS:
@@ -263,12 +282,13 @@ def _bisect(func, rows, lo, hi, tol, what: str):
         keep = ~done
         if not keep.any():
             return values, abserr
-        if np.bincount(idx[keep]).max() > BISECT_MAX_OPEN:
+        still_open = idx[keep]
+        if np.bincount(still_open).max() > BISECT_MAX_OPEN:
             break
-        a = np.concatenate([a[keep], a[keep] + w[idx[keep]]])
-        idx = np.concatenate([idx[keep], idx[keep]])
+        a = np.concatenate([a[keep], a[keep] + w[still_open]])
+        idx = np.concatenate([still_open, still_open])
         whole = np.concatenate([left[keep], right[keep]])
-    width = np.abs(w[idx[keep]]).max()
+    width = np.abs(w[still_open]).max()
     raise FieldError(f"{what} did not converge: panels of width {width:.1e} are still open")
 
 
@@ -801,8 +821,8 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
     """The pair w(x,t) = (lam/tau) Q^T u(Q (x - C t)/lam, t/tau) + C, with
     grad pbar = (lam/tau^2) Q^T grad p and pbar = (lam/tau)^2 p at the same
     point, viscosity sigma lam^2 / tau, exclusion radius lam r, default box
-    lam times and default time interval tau times the pair's (a boost or a
-    rotation keeps the sampling region), and the singular set
+    lam times and default time interval and form-symmetry time tau times the
+    pair's (a boost or a rotation keeps them), and the singular set
     (``SingularSetDescriptor.moved``) and facts moved alike.
 
     ``entry`` extends the transform chain, the one ``metadata`` entry a
@@ -891,6 +911,8 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
                       exclusion_radius=lam * sol.exclusion_radius,
                       default_box=tuple((lam * lo, lam * hi) for lo, hi in sol.default_box),
                       default_time=(tau * t0, tau * t1))
+        if sol.form_symmetry_time is not None:
+            mapped["form_symmetry_time"] = tau * sol.form_symmetry_time
         speed, boundary, ball = sol.radial_speed, sol.boundary_speed, sol.sup_speed_unit_ball
         if speed is not None:
             mapped["radial_speed"] = lambda r, t: amp * speed(np.asarray(r) / lam,
@@ -995,7 +1017,7 @@ def _preset_ex_3_10(ov):
                     params={"T": T, "c1": c1, "c2": c2},
                     singular_offsets=(-T * (c1 - c2),),
                     exclusion_radius=ov.get("exclusion_radius", 0.45))
-    return replace(sol, metadata={**sol.metadata, "form_symmetry_time": T})
+    return replace(sol, form_symmetry_time=T)
 
 
 def _preset_ex_3_4_smooth(ov):

@@ -389,6 +389,9 @@ class SolutionPair:
     # interval, which a blow-up time overrides (``verification.default_region``).
     default_box: Optional[tuple] = None
     default_time: tuple = (0.0, 1.0)
+    # The time at which ex_3_10 takes its symmetric form (the preset's profile
+    # is 1/(x1 - x2)^2 then); ``catalog._step`` scales it by tau.
+    form_symmetry_time: Optional[float] = None
 
     def __post_init__(self):
         if self.default_box is None:

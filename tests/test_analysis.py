@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -614,6 +615,79 @@ class TestRadialPath:
             assert one == res
 
 
+def _boosted(pid, C):
+    return apply_transform(preset(pid), TransformSpec.boost(C))
+
+
+# norm^q of each case as float.hex(), recorded before quad evaluated its two
+# opening rounds in one integrand call and before the polar ring kernel built
+# its points in place; the polar cases include a twin wave with a kink, whose
+# rings reach catalog._bisect, and fields with and without ``subtract``.
+PINNED_NORMS = {
+    "polar ex_3_4_smooth": (lambda: preset("ex_3_4_smooth"),
+                            NormSpec(q=2.0, delta=1.0, R=2.0, t=0.37), "0x1.e167d2751145bp+2"),
+    "polar ex_3_4_smooth subtract": (
+        lambda: preset("ex_3_4_smooth"),
+        NormSpec(q=3.0, delta=0.5, R=2.5, t=0.8, subtract=(0.0, -1.0)), "0x1.c74d574c15bb2p+2"),
+    "polar ex_3_10": (lambda: preset("ex_3_10"),
+                      NormSpec(q=2.0, delta=0.2, R=0.6, t=0.0), "0x1.e45849d6bf042p+5"),
+    "polar kinked wave q1": (lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+                             NormSpec(q=1.0, delta=1.1, R=1.5, t=0.0), "0x1.d8cd10064f6d7p+2"),
+    "polar kinked wave q1.5": (lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+                               NormSpec(q=1.5, delta=0.5, R=2.0, t=0.0), "0x1.a55234a48d91ap+5"),
+    "polar kinked wave subtract": (
+        lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+        NormSpec(q=1.5, delta=0.5, R=2.0, t=0.0, subtract=(0.25, -0.5)), "0x1.9aeeb2428a40ep+5"),
+    "polar boosted ex_2_5": (lambda: _boosted("ex_2_5", (1.0, 0.5)),
+                             NormSpec(q=2.0, delta=1.0, R=2.0, t=0.3), "0x1.c1c103a3f5539p+3"),
+    "polar boosted ex_2_5 subtract": (
+        lambda: _boosted("ex_2_5", (1.0, 0.5)),
+        NormSpec(q=2.0, delta=1.0, R=2.0, t=0.3, subtract=(0.5, 0.25)), "0x1.4e05705fecb08p+2"),
+    "radial ex_2_5": (lambda: preset("ex_2_5"),
+                      NormSpec(q=2.0, delta=1.0, R=math.e, t=0.21), "0x1.f5ee561f6466ap+1"),
+    "radial ex_2_5 exterior": (lambda: preset("ex_2_5"),
+                               NormSpec(q=3.0, delta=1.0, R=math.inf, t=0.13),
+                               "0x1.08ccbd97c53afp+2"),
+    "radial ex_3_2 exterior": (lambda: preset("ex_3_2"),
+                               NormSpec(q=2.0, delta=1.0, R=math.inf, t=0.4, subtract=(1.0, 1.0)),
+                               "0x1.0c152382d04dcp-2"),
+    "radial boosted ex_2_5": (lambda: _boosted("ex_2_5", (1.0, 0.5)),
+                              NormSpec(q=2.0, delta=1.0, R=2.0, t=0.3, subtract=(1.0, 0.5)),
+                              "0x1.112809c69e52ep+1"),
+    "radial kink": (lambda: ij_vortex("1", "-1.5/r^2 + 1/(1+r^2)"),
+                    NormSpec(q=1.0, delta=0.3, R=5.0, t=0.3), "0x1.38d70d92c5e37p+3"),
+}
+
+# lq fits: the exponent's hex and the first 16 hex digits of the sha256 of
+# the samples' hex values, joined by spaces
+PINNED_FITS = {
+    "ex_2_6": (lambda: preset("ex_2_6"), RateFit(kind="lq", K=48),
+               "-0x1.0120a958a63e1p+0", "1120dba088088fb5"),
+    "ex_2_6 q3": (lambda: preset("ex_2_6"), RateFit(kind="lq", K=20, q=3.0, annulus=(0.5, 3.0)),
+                  "-0x1.05f667f0e3d13p+0", "d02ad8870e1079e6"),
+    "rescaled ex_2_6": (lambda: apply_transform(preset("ex_2_6"), TransformSpec.rescale(1.5, 0.8)),
+                        RateFit(kind="lq", K=12), "-0x1.0ee6a0da7b573p+0", "34ba7b2e806a0bb5"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", sorted(PINNED_NORMS))
+    def test_norm_is_unchanged(self, name, bisected):
+        build, spec, want = PINNED_NORMS[name]
+        res = annulus_lq_norm(build(), spec)
+        assert res.provenance.startswith(name.split()[0])
+        assert res.value_pow_q.hex() == want
+        if "kink" in name and "subtract" not in name:
+            assert bisected
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FITS))
+    def test_lq_fit_is_unchanged(self, name):
+        build, fit, exponent, digest = PINNED_FITS[name]
+        res = blowup_exponent_fit(build(), fit)
+        samples = " ".join(n.hex() for _, n in res.samples).encode()
+        assert (res.exponent.hex(), hashlib.sha256(samples).hexdigest()[:16]) == (exponent, digest)
+
+
 class TestZeroField:
     """ex_2_5 at t = 1 and ex_2_6 at t = 0 have u = 0 everywhere, and the
     envelope's kappa is exactly 0: zero energy and norms, not a divergence."""
@@ -661,17 +735,33 @@ class TestImproperNorms:
             annulus_lq_norm(build(), spec)
 
 
-class TestLqFitWithoutTheRadialPath:
-    def test_boosted_vortex_fits_the_polar_norm_about_the_origin(self):
-        # a boosted vortex's radial speed is co-moving, so the lq fit of |u|
-        # takes the polar quadrature, one time at a time
-        sol = apply_transform(preset("ex_2_6"), TransformSpec.boost((1.0, 0.0)))
-        fit = blowup_exponent_fit(sol, RateFit(kind="lq", K=6))
-        for t, nrm in fit.samples:
-            want = annulus_lq_norm(sol, NormSpec(q=2.0, delta=1.0, R=2.0, t=t))
-            assert want.provenance.startswith("polar")
-            assert nrm == want.value
+class TestLqFitOfABoostedVortex:
+    @pytest.mark.parametrize("kind", ["lq", "sup"])
+    def test_boosted_vortex_fits_the_co_moving_speed(self, kind):
+        # both fits measure |u - C| about the moving centre C t, which a boost
+        # leaves as it was: the boosted fit is the unboosted one bit for bit
+        base = preset("ex_2_6")
+        sol = apply_transform(base, TransformSpec.boost((1.0, 0.0)))
+        fit = blowup_exponent_fit(sol, RateFit(kind=kind, K=12))
+        want = blowup_exponent_fit(base, RateFit(kind=kind, K=12))
+        assert fit == want
+        assert round(fit.exponent, 4) == -1.0582
 
+    def test_boosted_vortex_lq_fit_is_one_batched_quadrature(self, monkeypatch):
+        calls = []
+        quad = catalog.quad
+
+        def counted(func, a, b, **kw):
+            calls.append(len(np.ravel(a)))
+            return quad(func, a, b, **kw)
+
+        monkeypatch.setattr(catalog, "quad", counted)
+        sol = apply_transform(preset("ex_2_6"), TransformSpec.boost((1.0, 0.0)))
+        blowup_exponent_fit(sol, RateFit(kind="lq", K=12))
+        assert calls == [12]
+
+
+class TestLqFitWithoutTheRadialPath:
     def test_three_dimensional_pair_has_no_lq_fit(self):
         with pytest.raises(FieldError, match="annulus norms are implemented for 2D solutions"):
             blowup_exponent_fit(preset("ex_5_1_blowup"), RateFit(kind="lq", K=6))

@@ -334,7 +334,7 @@ class TestPresets:
 
     def test_form_symmetry_at_critical_time(self):
         sol = preset("ex_3_10")
-        T = sol.metadata["form_symmetry_time"]
+        T = sol.form_symmetry_time
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = tuple(rng.uniform(-3, 3, size=2))
@@ -344,6 +344,21 @@ class TestPresets:
                 continue
             u = sol.velocity_at(p)
             assert u[0] - 1.0 == pytest.approx(u[1] - 0.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lam, tau", [(1.0, 2.0), (1.5, 0.5)])
+    def test_rescaled_form_symmetry_time(self, lam, tau):
+        # w = (lam/tau) u(x/lam, t/tau): at t = tau T the profile is
+        # (lam/tau) lam^2/(x1 - x2)^2, and at t = T (tau != 1) it is not
+        sol = apply_transform(preset("ex_3_10"), TransformSpec.rescale(lam, tau))
+        assert sol.form_symmetry_time == tau * 1.0
+        amp = lam / tau
+        X = np.array([[0.3, -0.9], [1.2, 2.9]])
+        want = amp * lam * lam / (X[:, 0] - X[:, 1]) ** 2
+        at = sol.velocity(X, np.full(2, sol.form_symmetry_time))
+        assert at[:, 0] - amp * 1.0 == pytest.approx(want, rel=1e-12)
+        assert at[:, 1] - amp * 0.0 == pytest.approx(want, rel=1e-12)
+        off = sol.velocity(X, np.full(2, 1.0))
+        assert not np.allclose(off[:, 0] - amp, want, rtol=1e-3)
 
     def test_traveling_vortex_is_shifted_rotational_field(self):
         # with equal boost components, u - C is (y2, -y1)/(1+|y|^2)^2
@@ -474,6 +489,31 @@ RADIAL_INTEGRANDS = {
 QUAD_TOL = dict(epsrel=1e-11, epsabs=1e-13)
 
 
+def _round_by_round_quad(func, a, b, *, epsrel, epsabs):
+    """``catalog.quad``'s graded rounds one integrand call per round and row
+    slice, m = 8, 16, 32, ..., as they ran before its first call covered
+    rounds 8 and 16 together; rows must close within QUAD_MAX_PANELS."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = a.ravel(), b.ravel()
+    ratio = b / a
+    values, abserr = np.empty(len(a)), np.full(len(a), np.inf)
+    rows, prev, m = np.arange(len(a)), None, 8
+    nodes, weights = (v[:, None, None] for v in catalog._gauss_legendre())
+    while len(rows):
+        assert m <= catalog.QUAD_MAX_PANELS
+        est = np.empty(len(rows))
+        for s in catalog._slices(len(rows), 8 * m):
+            edges = a[s, None] * ratio[s, None] ** (np.arange(m + 1) / m)
+            edges[:, -1] = b[s]
+            mid, half = (edges[:, 1:] + edges[:, :-1]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
+            x = mid + half * nodes
+            est[s] = (catalog._node_sum(func(x, rows[s]) * weights) * half).sum(axis=1)
+        keep = ~catalog._accept(est, prev, rows, values, abserr, epsrel, epsabs)
+        rows, prev, a, b, ratio = (v[keep] for v in (rows, est, a, b, ratio))
+        m *= 2
+    return values, abserr
+
+
 class TestRadialQuadrature:
     @pytest.mark.parametrize("name", sorted(RADIAL_INTEGRANDS))
     def test_matches_mpmath(self, name):
@@ -524,6 +564,46 @@ class TestRadialQuadrature:
         F_whole, err_whole = catalog.quad(wave, 1.0, r, **QUAD_TOL)
         assert max(sizes) > 2**16
         assert F_whole.tobytes() == F.tobytes() and err_whole.tobytes() == err.tobytes()
+
+    def test_opening_rounds_share_one_call_per_slice(self):
+        # rounds m = 8 and 16 in one call of 8 + 16 panels a row; a round
+        # after them evaluates its own m panels
+        shapes = []
+
+        def f(x, rows):
+            shapes.append(x.shape)
+            return np.exp(-x)
+
+        catalog.quad(f, 1.0, [2.0, 3.0], **QUAD_TOL)
+        assert shapes == [(8, 2, 24)]
+        shapes.clear()
+        per_slice = catalog.ANGULAR_CHUNK // (8 * 24)
+        catalog.quad(f, 1.0, np.full(2 * per_slice + 5, 2.0), **QUAD_TOL)
+        assert shapes == [(8, per_slice, 24)] * 2 + [(8, 5, 24)]
+        shapes.clear()
+        catalog.quad(lambda x, rows: f(x, rows) + np.cos(40.0 * x), 1.0, [9.0], **QUAD_TOL)
+        assert len(shapes) > 2
+        assert [s[2] for s in shapes] == [24] + [32 * 2**i for i in range(len(shapes) - 1)]
+
+    @pytest.mark.parametrize("name", sorted(RADIAL_INTEGRANDS))
+    def test_fused_opening_matches_round_by_round_bits(self, name):
+        f = RADIAL_INTEGRANDS[name][0]
+        r = np.geomspace(0.05, 10.0, 9)
+        with np.errstate(all="ignore"):
+            got = catalog.quad(lambda x, rows: f(x), 1.0, r, **QUAD_TOL)
+            want = _round_by_round_quad(lambda x, rows: f(x), 1.0, r, **QUAD_TOL)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_fused_opening_matches_round_by_round_bits_across_slices(self):
+        r = np.geomspace(0.05, 10.0, 1600)
+        k = np.linspace(0.5, 60.0, 1600)
+
+        def wave(x, rows):
+            return np.where(rows[:, None] % 7 == 3, np.inf, x * np.cos(k[rows, None] * x) ** 2)
+
+        got = catalog.quad(wave, 1.0, r, **QUAD_TOL)
+        want = _round_by_round_quad(wave, 1.0, r, **QUAD_TOL)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
     def test_non_finite_integrand_returns_without_raising(self):
         with np.errstate(all="ignore"):
@@ -767,6 +847,14 @@ class TestRadialBisection:
         with pytest.raises(FieldError, match="radial quadrature did not converge"):
             catalog.quad(lambda x, rows: np.abs(x - 1.5) ** -0.5, 1.0, [2.0], **QUAD_TOL)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rows_open_after_the_last_round_raise(self, monkeypatch, count):
+        # 16 panels a row doubled three times stay under BISECT_MAX_OPEN, so
+        # the rounds run out first
+        monkeypatch.setattr(catalog, "BISECT_MAX_LEVELS", 3)
+        with pytest.raises(FieldError, match="did not converge: panels of width 7.8e-03 are"):
+            catalog.quad(lambda x, rows: np.sin(1e5 * x), 1.0, np.full(count, 2.0), **QUAD_TOL)
+
 
 def _node_values(seed, shape):
     """Random values of mixed signs whose decimal exponents are a row's own,
@@ -972,9 +1060,9 @@ class TestColumnEvaluatorParity:
 
 
 # The spec record (family, params, the transform chain a transform adds) plus
-# the preset's name and summary, and two facts no transform moves yet.
-METADATA_KEYS = {"family", "params", "transform_chain", "name", "summary",
-                 "pressure_branch", "form_symmetry_time"}
+# the preset's name and summary, and the vortex's pressure branch, which is
+# stated in the vortex frame so that no transform moves it.
+METADATA_KEYS = {"family", "params", "transform_chain", "name", "summary", "pressure_branch"}
 ONE_TRANSFORM = {
     "boost": lambda sol: apply_transform(sol, TransformSpec.boost((0.5, -1.5, 0.25)[:sol.dimension])),
     "rotation": lambda sol: apply_transform(sol, TransformSpec.rotation(0.7)),

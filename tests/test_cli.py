@@ -177,6 +177,17 @@ class TestNorm:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(56.0 / 3.0, rel=1e-9)
 
+    def test_polar_norm_open_after_the_last_bisection_round_is_an_error(self, capsys, tmp_path):
+        # the kink of |x1 - x2 - 1.5| keeps a radial panel open through every
+        # bisection round; that raised IndexError, a traceback
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
+                                 "params": {"v": "(x - 1.5)"}}))
+        code, out, err = run(capsys, "norm", str(p), "--q", "1", "--delta", "0.5", "--R", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: radial quadrature did not converge: "
+                       "panels of width 8.5e-14 are still open\n")
+
     def test_non_finite_norm_is_an_error(self, capsys, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
@@ -861,19 +872,25 @@ _CERTIFY_ARGV = st.builds(
 _LIST_ARGV = st.sampled_from(["json", "table", "xml", "JSON", ""]).map(
     lambda fmt: ["list", f"--format={fmt}"])
 
-# Profiles from the expression grammar: numbers, the variable, an unknown
-# identifier, the six functions, and powers with integer, large and
-# non-integer exponents.
-_PROFILE = st.recursive(
-    st.sampled_from(["x", "q", "0", "2.5", "1e308"]),
-    lambda inner: st.one_of(
-        st.builds("{}({})".format,
-                  st.sampled_from(["exp", "ln", "sqrt", "sin", "cos", "atan"]), inner),
-        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
-        st.builds("({})^{}".format, inner, st.sampled_from(["2", "-3", "400", "0.5", "(-1.5)"])),
-    ),
-    max_leaves=6,
-)
+
+def _profiles(*leaves):
+    """Profiles from the expression grammar: the ``leaves`` (numbers, the
+    variable, an unknown identifier), the six functions, and powers with
+    integer, large and non-integer exponents."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.builds("{}({})".format,
+                      st.sampled_from(["exp", "ln", "sqrt", "sin", "cos", "atan"]), inner),
+            st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("({})^{}".format, inner,
+                      st.sampled_from(["2", "-3", "400", "0.5", "(-1.5)"])),
+        ),
+        max_leaves=6,
+    )
+
+
+_PROFILE = _profiles("x", "q", "0", "2.5", "1e308")
 _PROBE_NUMBER = st.sampled_from(["0", "-0", "0.5", "nan", "inf", "-inf", "1e308"])
 _PROBE_ARGV = st.builds(
     lambda mode, p1, p2, cs, box, tmax, samples: [
@@ -912,6 +929,54 @@ def _transformed_specs(draw):
     return doc
 
 
+_SPEC_NUMBER = st.sampled_from([0.0, -0.5, 1.0, 2.0, 1e308])
+
+
+def _spec_profiles(variable):
+    # the variable twice as likely as each number, so most profiles vary
+    return _profiles(variable, variable, "0", "2.5", "1e308", "-1")
+
+
+@st.composite
+def _profile_specs(draw):
+    """A vortex (with or without a blow-up time) or a twin wave whose
+    profiles are generated, possibly boosted."""
+    if draw(st.booleans()):
+        params = {"c": draw(_spec_profiles("t")), "h": draw(_spec_profiles("r")),
+                  "blowup_time": draw(st.one_of(st.none(), _SPEC_NUMBER))}
+        doc = {"format_version": 1, "family": "ij_vortex", "params": params}
+    else:
+        params = {"v": draw(_spec_profiles("x")),
+                  **draw(st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), _SPEC_NUMBER))}
+        doc = {"format_version": 1, "family": "twin_wave", "params": params}
+    boost = draw(st.one_of(st.none(), st.lists(_SPEC_NUMBER, min_size=2, max_size=2)))
+    if boost is not None:
+        doc["transforms"] = [{"kind": "boost", "velocity": boost}]
+    return doc
+
+
+_FLAG_NUMBER = st.sampled_from(["0", "0.5", "1", "2", "-1", "nan", "inf", "1e308"])
+_NORM_FLAGS = st.builds(
+    lambda q, t, annulus, subtract: ["norm", *q, *t, *annulus, *subtract],
+    st.one_of(st.just([]), st.sampled_from(["1", "1.5", "2", "3", "0.5"]).map(
+        lambda q: [f"--q={q}"])),
+    st.one_of(st.just([]), _FLAG_NUMBER.map(lambda t: [f"--t={t}"])),
+    st.one_of(st.just([]),
+              st.tuples(st.sampled_from(["0.5", "1", "1.5"]),
+                        st.sampled_from(["2", "3", "inf"])).map(
+                  lambda dr: [f"--delta={dr[0]}", f"--R={dr[1]}"]),
+              st.tuples(_FLAG_NUMBER, _FLAG_NUMBER).map(
+                  lambda dr: [f"--delta={dr[0]}", f"--R={dr[1]}"])),
+    st.sampled_from([[], ["--subtract-boost"]]),
+)
+_BLOWUP_FLAGS = st.builds(
+    lambda kind, K, q: ["blowup", f"--norm={kind}", f"--K={K}", *q],
+    st.sampled_from(["sup", "lq"]),
+    st.sampled_from([5, 6, 12]),
+    st.one_of(st.just([]), st.sampled_from(["1", "2.5", "0.5"]).map(lambda q: [f"--q={q}"])),
+)
+
+
 class TestContract:
     """Whatever the flags: exit code 0, 1 or 2, no traceback, and stdout
     either empty (exit 2) or the command's document; the document is strict
@@ -941,20 +1006,14 @@ class TestContract:
     def test_probe_exit_code_and_output(self, argv):
         self.assert_contract(argv)
 
-    @staticmethod
-    def assert_spec_contract(doc):
-        out, err = io.StringIO(), io.StringIO()
+    @classmethod
+    def assert_spec_contract(cls, doc, command="certify", flags=("--samples", "50")):
+        """The contract of ``command`` on ``doc`` written to a spec file."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "spec.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["certify", path, "--samples", "50"])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert (out.getvalue() == "") == (code == 2)
-        if out.getvalue():
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            cls.assert_contract([command, path, *flags])
 
     @given(doc=_mutated_specs())
     @settings(max_examples=25, deadline=None)
@@ -965,6 +1024,11 @@ class TestContract:
     @settings(max_examples=25, deadline=None)
     def test_transformed_spec_exit_code_and_output(self, doc):
         self.assert_spec_contract(doc)
+
+    @given(doc=_profile_specs(), flags=st.one_of(_NORM_FLAGS, _BLOWUP_FLAGS))
+    @settings(max_examples=25, deadline=None)
+    def test_norm_and_blowup_on_generated_profiles(self, doc, flags):
+        self.assert_spec_contract(doc, flags[0], flags[1:])
 
 
 class TestImports:
@@ -1040,16 +1104,18 @@ class TestImports:
         assert loaded["code"] == 0
         assert loaded["eulercert"] == ["catalog", "cli", "expressions", "fields", "verification"]
 
-    @pytest.mark.parametrize("argv, key", [
-        (["blowup", "ex_2_6"], "alpha"),
-        (["norm", "ex_2_5", "--delta", "1", "--R", "2"], "value"),
-        (["probe", "--mode", "twinwave", "--u1", "x", "--u2", "x"], "verdict"),
-    ], ids=lambda a: a[0] if isinstance(a, list) else a)
-    def test_analysis_commands_load_their_layers(self, argv, key):
+    # Only the probes sample a region, so only they load verification.
+    @pytest.mark.parametrize("argv, key, layers", [
+        (["blowup", "ex_2_6"], "alpha", ["analysis"]),
+        (["norm", "ex_2_5", "--delta", "1", "--R", "2"], "value", ["analysis"]),
+        (["probe", "--mode", "twinwave", "--u1", "x", "--u2", "x"], "verdict",
+         ["analysis", "verification"]),
+    ], ids=["blowup-alpha", "norm-value", "probe-verdict"])
+    def test_analysis_commands_load_their_layers(self, argv, key, layers):
         loaded = _modules_after(argv)
         assert loaded["code"] == 0, loaded["stderr"]
         assert json.loads(loaded["stdout"])[key] is not None
-        assert {"analysis", "verification"} <= set(loaded["eulercert"])
+        assert loaded["eulercert"] == sorted(["catalog", "cli", "expressions", "fields", *layers])
 
     def test_spec_file_still_validates(self, tmp_path):
         p = tmp_path / "malformed.json"
