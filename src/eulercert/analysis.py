@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -356,16 +356,14 @@ def blowup_exponent_fit(sol: SolutionPair, fit: Optional[RateFit] = None) -> Fit
     T = sol.singular.blowup_time()
     if T is None:
         raise FieldError("no blow-up time in singular set")
+    if fit.kind == "lq" and sol.radial_speed is None:
+        raise FieldError("lq rate fit needs a radially structured solution")
     ts = [T * (1.0 - 2.0 ** -k) for k in range(1, fit.K + 1)]
     if fit.kind == "sup":
         norms = _sup_norms(sol, ts, fit.annulus)
-    else:
+    else:  # the co-moving |u - boost_total| as the sup fit reads, one row per time
         spec = NormSpec(q=fit.q, delta=fit.annulus[0], R=fit.annulus[1], t=ts[0])
-        speed = sol.radial_speed  # the co-moving |u - boost_total|, as the sup fit reads
-        if speed is not None:  # one batched quadrature, one row per sample time
-            norms = [r.value for r in _radial_norms(sol, speed, spec, ts)]
-        else:
-            norms = (annulus_lq_norm(sol, replace(spec, t=t)).value for t in ts)
+        norms = [r.value for r in _radial_norms(sol, sol.radial_speed, spec, ts)]
     checked = []
     for t, nrm in zip(ts, norms):
         if not (math.isfinite(nrm) and nrm >= 0):
@@ -410,25 +408,28 @@ def _default_probe_region():
     return SampleRegion(box=((1.0, 2.0), (1.0, 2.0)), time=(0.0, 0.5), count=2000, seed=0)
 
 
-def __getattr__(name):  # DEFAULT_PROBE_REGION, without importing verification before a probe
-    if name == "DEFAULT_PROBE_REGION":
-        return _default_probe_region()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _profile(expr) -> ExprAst:
+    """A probe's profile: an expression in x, parsed if it is text."""
+    return parse(expr, "x") if isinstance(expr, str) else expr
 
 
-def _probe_sup(sol: SolutionPair, region, include_divergence: bool) -> ProbeResult:
-    """The probe's sup residual over ``region``, or over DEFAULT_PROBE_REGION."""
+def _probe_sup(sol: SolutionPair, region, tol: float, passed: str, failed: str,
+               divergence: bool = False) -> ProbeResult:
+    """The probe's sup residual over ``region`` (by default the probes' grid),
+    of the momentum residual plus, with ``divergence``, |div u|; the verdict
+    is ``passed`` if it is at most ``tol`` and ``failed`` otherwise."""
     from .verification import _divergence_batch, _residual_batch, _sample_arrays
 
     region = region or _default_probe_region()
     X, T = _sample_arrays(region, sol.singular, sol.exclusion_radius)
     jet = sol.velocity_jet(X, T)
     values = row_norm(_residual_batch(sol, X, T, jet))
-    if include_divergence:
+    if divergence:
         values = values + np.abs(_divergence_batch(sol, X, T, jet))
     if not np.all(np.isfinite(values)):
         raise FieldError("probe field is not finite on the grid")
-    return ProbeResult(float(values.max()), len(values), "")
+    sup = float(values.max())
+    return ProbeResult(sup, len(values), passed if sup <= tol else failed)
 
 
 def _affine_solution(v1: ExprAst, v2: ExprAst, c1: float, c2: float,
@@ -463,17 +464,10 @@ def affine_probe(v1, v2, c1: float, c2: float,
     """
     if c2 == 0.0:
         raise FieldError("affine ansatz requires c2 != 0")
-    params = dict(params or {})
-    v1 = parse(v1, "x") if isinstance(v1, str) else v1
-    v2 = parse(v2, "x") if isinstance(v2, str) else v2
-    sol = _affine_solution(v1, v2, c1, c2, params)
-    result = _probe_sup(sol, grid, include_divergence=True)
-    verdict = (
-        "solution (constant profiles)"
-        if result.sup_residual <= 1e-10
-        else "nonsolution; consistent with nonexistence of nonconstant affine solutions"
-    )
-    return ProbeResult(result.sup_residual, result.count, verdict)
+    sol = _affine_solution(_profile(v1), _profile(v2), c1, c2, dict(params or {}))
+    return _probe_sup(sol, grid, 1e-10, "solution (constant profiles)",
+                      "nonsolution; consistent with nonexistence of nonconstant affine solutions",
+                      divergence=True)
 
 
 def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float,
@@ -488,8 +482,7 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
     u2p = c3 u1p + const report zero residual.
     """
     params = dict(params or {})
-    p1 = parse(u1_profile, "x") if isinstance(u1_profile, str) else u1_profile
-    p2 = parse(u2_profile, "x") if isinstance(u2_profile, str) else u2_profile
+    p1, p2 = _profile(u1_profile), _profile(u2_profile)
 
     offset = None
     for probe_xi in (0.0, 1.0, -1.0, 0.5, 2.0):
@@ -510,10 +503,5 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
         singular=SingularSetDescriptor(),
         metadata={"name": "twin_wave_form_check", "family": "twin_wave_probe"},
     )
-    result = _probe_sup(sol, grid, include_divergence=False)
-    verdict = (
-        "conforming traveling-wave pair (solution)"
-        if result.sup_residual <= 1e-8
-        else "nonconforming pair (not a solution)"
-    )
-    return ProbeResult(result.sup_residual, result.count, verdict)
+    return _probe_sup(sol, grid, 1e-8, "conforming traveling-wave pair (solution)",
+                      "nonconforming pair (not a solution)")

@@ -24,6 +24,7 @@ yields a pair with viscosity sigma * lambda^2 / tau.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -981,113 +982,95 @@ def apply_transform(sol: SolutionPair, tr: TransformSpec) -> SolutionPair:
 # distance to the singular set, and the FD cross-checks amplify rounding
 # noise by 1/step).  See the README for the calibration notes.
 #
-# A builder takes the overrides and returns the solution with what the
-# preset adds to its family; ``preset`` sets the name and summary, and
-# refuses an override key that the preset's row does not name.
+# A builder takes the overrides as keyword parameters and returns the
+# solution with what the preset adds to its family; ``preset`` sets the name
+# and summary, and refuses an override key that the builder does not take.
 # ---------------------------------------------------------------------------
 
 
-def _wave_speeds(ov):
-    return (float(ov.get(k, d)) for k, d in (("c1", 1.0), ("c2", 0.0), ("c3", 1.0)))
-
-
-def _preset_ex_2_5(ov):
-    sol = ij_vortex("t", "-1/r^2", exclusion_radius=ov.get("exclusion_radius", 0.3))
+def _preset_ex_2_5(exclusion_radius=0.3):
+    sol = ij_vortex("t", "-1/r^2", exclusion_radius=exclusion_radius)
     return replace(sol, decay_envelope=(lambda t: abs(t - 1.0), 1, True))
 
 
-def _preset_ex_2_6(ov):
-    T = float(ov.get("T", 1.0))
+def _preset_ex_2_6(T=1.0, exclusion_radius=0.7):
+    T = float(T)
     sol = ij_vortex("1/(T - t)", "-1/r^2", params={"T": T}, blowup_time=T,
-                    exclusion_radius=ov.get("exclusion_radius", 0.7))
+                    exclusion_radius=exclusion_radius)
     return replace(sol, decay_envelope=(lambda t: abs(1.0 / (T - t) - 1.0), 1, True))
 
 
-def _preset_ex_3_2(ov):
-    base = ij_vortex("1", "-1/r^2 + 1/(1+r^2)^2",
-                     exclusion_radius=ov.get("exclusion_radius", 0.12))
-    sol = apply_transform(base, TransformSpec.boost(tuple(ov.get("C", (1.0, 1.0)))))
+def _preset_ex_3_2(C=(1.0, 1.0), exclusion_radius=0.12):
+    base = ij_vortex("1", "-1/r^2 + 1/(1+r^2)^2", exclusion_radius=exclusion_radius)
+    sol = apply_transform(base, TransformSpec.boost(tuple(C)))
     return replace(sol, decay_envelope=(lambda t: 1.0, 3, False))
 
 
-def _preset_ex_3_10(ov):
-    T = float(ov.get("T", 1.0))
-    c1, c2, c3 = _wave_speeds(ov)
+def _preset_ex_3_10(T=1.0, c1=1.0, c2=0.0, c3=1.0, exclusion_radius=0.45):
+    T, c1, c2, c3 = map(float, (T, c1, c2, c3))
     sol = twin_wave("1/(x + T*(c1 - c2))^2", c1, c2, c3,
                     params={"T": T, "c1": c1, "c2": c2},
                     singular_offsets=(-T * (c1 - c2),),
-                    exclusion_radius=ov.get("exclusion_radius", 0.45))
+                    exclusion_radius=exclusion_radius)
     return replace(sol, form_symmetry_time=T)
 
 
-def _preset_ex_3_4_smooth(ov):
-    c1, c2, c3 = _wave_speeds(ov)
+def _preset_ex_3_4_smooth(c1=1.0, c2=0.0, c3=1.0, exclusion_radius=1e-3):
+    c1, c2, c3 = map(float, (c1, c2, c3))
     return twin_wave("1/(1+x^2)^2 - c1", c1, c2, c3, params={"c1": c1},
-                     exclusion_radius=ov.get("exclusion_radius", 1e-3))
+                     exclusion_radius=exclusion_radius)
 
 
-def _preset_ex_3_4_singular(ov):
-    c1, c2, c3 = _wave_speeds(ov)
-    return twin_wave("1/x^2", c1, c2, c3, singular_offsets=(0.0,),
-                     exclusion_radius=ov.get("exclusion_radius", 0.45))
+def _preset_ex_3_4_singular(c1=1.0, c2=0.0, c3=1.0, exclusion_radius=0.45):
+    return twin_wave("1/x^2", *map(float, (c1, c2, c3)), singular_offsets=(0.0,),
+                     exclusion_radius=exclusion_radius)
 
 
 _C_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -2.0))
 
 
-def _preset_ex_5_1_const(ov):
-    return linear3d("1", np.asarray(ov.get("C", _C_DEFAULT)),
-                    sigma=float(ov.get("sigma", 0.0)))
+def _preset_ex_5_1_const(C=_C_DEFAULT, sigma=0.0):
+    return linear3d("1", np.asarray(C), sigma=float(sigma))
 
 
-def _preset_ex_5_1_blowup(ov):
-    T = float(ov.get("T", 1.0))
-    return linear3d("1/(T - t)", np.asarray(ov.get("C", _C_DEFAULT)),
-                    sigma=float(ov.get("sigma", 0.0)), params={"T": T}, blowup_time=T)
+def _preset_ex_5_1_blowup(T=1.0, C=_C_DEFAULT, sigma=0.0):
+    T = float(T)
+    return linear3d("1/(T - t)", np.asarray(C), sigma=float(sigma), params={"T": T},
+                    blowup_time=T)
 
 
-def _preset_ex_6_1(ov):
-    return ns_halfspace_blowup(
-        T=float(ov.get("T", 1.0)),
-        sigma=float(ov.get("sigma", 1.0)),
-        c=float(ov.get("c", 0.0)),
-        x0=tuple(ov.get("x0", (0.0, 0.0, 0.0))),
-        pressure_sign=int(ov.get("pressure_sign", 1)),
-        exclusion_radius=float(ov.get("exclusion_radius", 0.01)),
-    )
+def _preset_ex_6_1(T=1.0, sigma=1.0, c=0.0, x0=(0.0, 0.0, 0.0), pressure_sign=1,
+                   exclusion_radius=0.01):
+    return ns_halfspace_blowup(T=float(T), sigma=float(sigma), c=float(c), x0=tuple(x0),
+                               pressure_sign=int(pressure_sign),
+                               exclusion_radius=float(exclusion_radius))
 
 
-_RADIUS = ("exclusion_radius",)
-_WAVE = ("c1", "c2", "c3") + _RADIUS
-
-# id: (builder, override keys it reads, family, construction, summary)
+# id: (builder, family, construction, summary)
 _PRESETS = {
-    "ex_2_5": (_preset_ex_2_5, _RADIUS, "ij_vortex", "c(t) = t, h(r) = -1/r^2",
+    "ex_2_5": (_preset_ex_2_5, "ij_vortex", "c(t) = t, h(r) = -1/r^2",
                "vortex with circulation growing linearly in time; finite energy only at t = 1"),
-    "ex_2_6": (_preset_ex_2_6, ("T",) + _RADIUS, "ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2",
+    "ex_2_6": (_preset_ex_2_6, "ij_vortex", "c(t) = 1/(T-t), h(r) = -1/r^2",
                "vortex blowing up at t = T, singular at the origin"),
-    "ex_3_2": (_preset_ex_3_2, ("C",) + _RADIUS, "ij_vortex + boost",
+    "ex_3_2": (_preset_ex_3_2, "ij_vortex + boost",
                "c = 1, h = -1/r^2 + 1/(1+r^2)^2, C = (1,1)",
                "globally smooth traveling vortex; u - C has finite planar energy"),
-    "ex_3_10": (_preset_ex_3_10, ("T",) + _WAVE, "twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1",
+    "ex_3_10": (_preset_ex_3_10, "twin_wave", "v = 1/(xi + T(c1-c2))^2, c3 = 1",
                 "traveling wave whose components match in form exactly at t = T"),
-    "ex_3_4_smooth": (_preset_ex_3_4_smooth, _WAVE, "twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1",
+    "ex_3_4_smooth": (_preset_ex_3_4_smooth, "twin_wave", "v = 1/(1+xi^2)^2 - c1, c3 = 1",
                       "globally smooth traveling wave with a single bump profile"),
-    "ex_3_4_singular": (_preset_ex_3_4_singular, _WAVE, "twin_wave", "v = 1/xi^2, c3 = 1",
+    "ex_3_4_singular": (_preset_ex_3_4_singular, "twin_wave", "v = 1/xi^2, c3 = 1",
                         "traveling wave singular on a moving line"),
-    "ex_5_1_const": (_preset_ex_5_1_const, ("C", "sigma"), "linear3d",
-                     "f = 1, C = diag(1, 1, -2)",
+    "ex_5_1_const": (_preset_ex_5_1_const, "linear3d", "f = 1, C = diag(1, 1, -2)",
                      "steady linear strain field, valid for any viscosity"),
-    "ex_5_1_blowup": (_preset_ex_5_1_blowup, ("T", "C", "sigma"), "linear3d",
-                      "f = 1/(T-t), C = diag(1, 1, -2)",
+    "ex_5_1_blowup": (_preset_ex_5_1_blowup, "linear3d", "f = 1/(T-t), C = diag(1, 1, -2)",
                       "linear strain field with amplitude blowing up at t = T"),
-    "ex_6_1": (_preset_ex_6_1, ("T", "sigma", "c", "x0", "pressure_sign") + _RADIUS,
-               "ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1",
+    "ex_6_1": (_preset_ex_6_1, "ns_halfspace_blowup", "T = 1, sigma = 1, pressure_sign = +1",
                "viscous half-space solution blowing up at t = T"),
 }
 
 PRESET_SUMMARIES = {pid: (family, construction)
-                    for pid, (_, _, family, construction, _) in _PRESETS.items()}
+                    for pid, (_, family, construction, _) in _PRESETS.items()}
 
 
 def preset_ids():
@@ -1097,20 +1080,21 @@ def preset_ids():
 def preset(preset_id: str, overrides: Optional[dict] = None) -> SolutionPair:
     """Build a named preset with its documented default parameters.
 
-    ``overrides`` may replace the numeric defaults that the preset reads
-    (among T, sigma, c1, c2, c3, C, x0, c, pressure_sign and
-    exclusion_radius); any other key raises FieldError.
+    ``overrides`` may replace the numeric defaults that the preset reads:
+    its builder's keyword parameters (among T, sigma, c1, c2, c3, C, x0, c,
+    pressure_sign and exclusion_radius); any other key raises FieldError.
     """
     try:
-        builder, keys, _, _, summary = _PRESETS[preset_id]
+        builder, _, _, summary = _PRESETS[preset_id]
     except KeyError:
         raise FieldError(
             f"unknown preset {preset_id!r}; known presets: {', '.join(_PRESETS)}"
         ) from None
     overrides = dict(overrides or {})
+    keys = list(inspect.signature(builder).parameters)
     unknown = sorted(set(overrides) - set(keys))
     if unknown:
         raise FieldError(f"preset {preset_id!r} does not take override(s) {unknown}; "
-                         f"it takes {list(keys)}")
-    sol = builder(overrides)
+                         f"it takes {keys}")
+    sol = builder(**overrides)
     return replace(sol, metadata={**sol.metadata, "name": preset_id, "summary": summary})

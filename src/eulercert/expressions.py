@@ -281,11 +281,22 @@ def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
 class Node:
     """An expression AST node; nodes are immutable and compare by value."""
 
+    def _walk(self):
+        """Yield (node, level) for every node of the tree, this one at level 1.
+
+        A stack, not recursion: a long sum is as deep as it has terms.
+        """
+        stack = [(self, 1)]
+        while stack:
+            node, level = stack.pop()
+            yield node, level
+            stack.extend((v, level + 1) for v in vars(node).values() if isinstance(v, Node))
+
     def depth(self) -> int:
-        raise NotImplementedError
+        return max(level for _, level in self._walk())
 
     def param_names(self) -> frozenset:
-        raise NotImplementedError
+        return frozenset(node.name for node, _ in self._walk() if isinstance(node, Param))
 
 
 @dataclass(frozen=True)
@@ -294,24 +305,12 @@ class Num(Node):
 
     value: float
 
-    def depth(self):
-        return 1
-
-    def param_names(self):
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class Var(Node):
     """The free variable of the expression."""
 
     name: str
-
-    def depth(self):
-        return 1
-
-    def param_names(self):
-        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -320,24 +319,12 @@ class Param(Node):
 
     name: str
 
-    def depth(self):
-        return 1
-
-    def param_names(self):
-        return frozenset({self.name})
-
 
 @dataclass(frozen=True)
 class Neg(Node):
     """Unary minus."""
 
     child: Node
-
-    def depth(self):
-        return 1 + self.child.depth()
-
-    def param_names(self):
-        return self.child.param_names()
 
 
 @dataclass(frozen=True)
@@ -348,12 +335,6 @@ class Bin(Node):
     left: Node
     right: Node
 
-    def depth(self):
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def param_names(self):
-        return self.left.param_names() | self.right.param_names()
-
 
 @dataclass(frozen=True)
 class Call(Node):
@@ -361,12 +342,6 @@ class Call(Node):
 
     fn: str
     arg: Node
-
-    def depth(self):
-        return 1 + self.arg.depth()
-
-    def param_names(self):
-        return self.arg.param_names()
 
 
 ExprAst = Node

@@ -976,6 +976,19 @@ _BLOWUP_FLAGS = st.builds(
     st.one_of(st.just([]), st.sampled_from(["1", "2.5", "0.5"]).map(lambda q: [f"--q={q}"])),
 )
 
+# mostly valid values, which come first (hypothesis shrinks toward them)
+_CERTIFY_NUMBER = st.sampled_from(["0.5", "1e-6", "1", "2", "0.9", "1e-3", "0", "-1", "nan",
+                                   "inf", "1e308"])
+_CERTIFY_FLAGS = st.builds(
+    lambda samples, until, exclusion, tols: ["certify", f"--samples={samples}", *until,
+                                             *exclusion, *tols],
+    st.sampled_from([50, 200, 1]),
+    st.one_of(st.just([]), _CERTIFY_NUMBER.map(lambda u: [f"--until={u}"])),
+    st.one_of(st.just([]), _CERTIFY_NUMBER.map(lambda e: [f"--exclusion={e}"])),
+    st.dictionaries(st.sampled_from(_TOL_FLAGS), _CERTIFY_NUMBER, max_size=4).map(
+        lambda tols: [f"{flag}={value}" for flag, value in tols.items()]),
+)
+
 
 class TestContract:
     """Whatever the flags: exit code 0, 1 or 2, no traceback, and stdout
@@ -1028,6 +1041,11 @@ class TestContract:
     @given(doc=_profile_specs(), flags=st.one_of(_NORM_FLAGS, _BLOWUP_FLAGS))
     @settings(max_examples=25, deadline=None)
     def test_norm_and_blowup_on_generated_profiles(self, doc, flags):
+        self.assert_spec_contract(doc, flags[0], flags[1:])
+
+    @given(doc=_profile_specs(), flags=_CERTIFY_FLAGS)
+    @settings(max_examples=25, deadline=None)
+    def test_certify_on_generated_profiles(self, doc, flags):
         self.assert_spec_contract(doc, flags[0], flags[1:])
 
 

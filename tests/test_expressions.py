@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestParsing:
     def test_unknown_identifier_recorded_not_rejected(self):
         ast = parse("a*x + b", "x")
         assert ast.param_names() == frozenset({"a", "b"})
+
+    def test_param_names_of_every_node_kind(self):
+        ast = parse("-a + sin(b*x)^c / (2 - d)", "x")
+        assert ast.param_names() == frozenset({"a", "b", "c", "d"})
+        assert ast.depth() == 6
+
+    def test_long_sum_is_walked_without_recursion(self):
+        # a sum of n terms is a left-leaning tree of depth n; the walk uses a stack
+        n = sys.getrecursionlimit() + 100
+        ast = parse(" + ".join(["x"] * (n - 1) + ["a"]), "x")
+        assert ast.depth() == n
+        assert ast.param_names() == frozenset({"a"})
 
     def test_scientific_notation(self):
         assert eval_real(parse("1.5e-3 + 2E2", "x"), 0.0) == pytest.approx(200.0015)
