@@ -203,6 +203,12 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
     rule from settling); other 2D solutions integrate over polar angle as
     well.  An infinite outer radius requires an exact decay envelope.
 
+    The polar path integrates |u - subtract|^q as (|u - subtract|^2)^(q/2),
+    so the squared speed must stay in double's range: a speed above about
+    1.3e154 on the annulus gives a norm that is not finite, at every q
+    (for q >= 2, |u|^q overflows no later than |u|^2), and a speed below
+    about 1.5e-154 gives 0.
+
     The radial path integrates the co-moving profile, so for a boosted
     vortex with ``subtract`` = ``boost_total`` = C it measures the annulus
     about C t, not about the origin (the two agree at t = 0).  ex_3_2 at
@@ -235,8 +241,9 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
             if sub is not None:  # u - 0.0 is u bit for bit, so nothing is subtracted then
                 for k, c in enumerate(sub):
                     u[:, k] -= c
-            speed = np.hypot(u[:, 0], u[:, 1])
-            speed **= q
+            speed = u[:, 0] * u[:, 0]  # (|u|^2)^(q/2): libm's hypot costs ~15 ns a point
+            speed += u[:, 1] * u[:, 1]
+            speed **= q / 2.0
             return speed.reshape(shape)
 
         ring, _ = catalog.angular_quad(along, len(r), epsrel=1e-9, epsabs=1e-12)

@@ -197,6 +197,16 @@ class TestNorm:
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
 
+    def test_norm_whose_squared_speed_overflows_is_an_error(self, capsys, tmp_path):
+        # |u| is about 1e200 on the annulus: |u|^2 overflows, so even q = 1 is not finite
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
+                                 "params": {"v": "1e200/(1+x^2)", "c1": 0, "c2": 0, "c3": 1}}))
+        code, out, err = run(capsys, "norm", str(p), "--q", "1", "--delta", "1", "--R", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: the norm is not finite: the speed overflows or is undefined "
+                       "on the annulus\n")
+
     @pytest.mark.parametrize("pid, lam, argv", [
         ("ex_2_5", 1e100, ["--q", "4", "--delta", "1", "--R", "1e6"]),
         ("ex_3_2", 1e50, ["--subtract-boost"]),  # the whole-plane energy
