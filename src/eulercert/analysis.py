@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .expressions import ExprAst, ExpressionError, Jet2, eval_jet, parse
+from .expressions import EvalDomainError, ExprAst, Jet2, eval_jet, parse
 from .fields import (
     FieldError,
     MovingLine,
@@ -496,7 +496,7 @@ def twin_wave_form_check(u1_profile, u2_profile, c1: float, c2: float, c3: float
         try:
             seed = Jet2.variable(probe_xi)
             k = float(eval_jet(p2, seed, params).value) - c3 * float(eval_jet(p1, seed, params).value)
-        except (ExpressionError, FieldError, ArithmeticError):
+        except (EvalDomainError, FieldError, ArithmeticError):
             continue
         if math.isfinite(k):
             offset = k

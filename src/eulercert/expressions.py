@@ -7,9 +7,10 @@ evaluated together with their first and second derivatives by propagating
 truncated second-order Taylor triples (value, d1, d2) through the tree, so
 every profile automatically carries the derivatives that the PDE residual
 formulas need.  A first-order seed (``Jet2.variable(x, order=1)``) skips the
-second derivatives and carries the same value and d1.  Where only values
-are needed, ``compile_real`` turns an AST into a closure that repeats the
-same value arithmetic without the derivatives.
+second derivatives and carries the same value and d1.  One compiler turns
+an AST into closures that run either on jets (``eval_jet``) or, where only
+values are needed, on plain values (``compile_real``): the same program,
+without the derivatives.
 
 Grammar summary:
 
@@ -25,7 +26,9 @@ function set is exp, ln, sqrt, sin, cos, atan.  Absolute values are not in
 the grammar (they are not twice differentiable); write squared-modulus
 profiles as ``(...)^2``.  One identifier is the declared free variable;
 any other identifier is a named parameter that must resolve at evaluation
-time.
+time.  Both parsing and evaluation stop at MAX_DEPTH (256) levels: the
+parser counts nested grammar rules, evaluation the levels of the tree, so
+a sum of more than 256 terms parses but does not evaluate.
 """
 
 from __future__ import annotations
@@ -96,9 +99,11 @@ class Jet2:
     evaluation can cover a whole batch of seed points.
 
     A first-order jet has ``d2`` None, and so has every jet computed from
-    it: its value and d1 are those of the second-order jet bit for bit
-    (for an array seed; a scalar seed can take another ``^`` path, see
-    ``_int_exponent``), without the second-derivative arithmetic.
+    it, ``x^0`` included: its value and d1 are those of the second-order
+    jet bit for bit, without the second-derivative arithmetic.  That holds
+    for an array seed; at a scalar seed an exponent such as ``x - x + 3``
+    multiplies at order 2 but goes through exp and ln at order 1 (see
+    ``_int_exponent``).
     """
 
     value: Real
@@ -177,15 +182,11 @@ def _jet_exp(u: Jet2) -> Jet2:
 
 
 def _jet_ln(u: Jet2) -> Jet2:
-    if _nonpositive(u.value):
-        raise EvalDomainError("ln requires a positive argument")
     inv = 1.0 / u.value
     return _chain(u, np.log(u.value), inv, -inv * inv)
 
 
 def _jet_sqrt(u: Jet2) -> Jet2:
-    if _nonpositive(u.value):
-        raise EvalDomainError("sqrt requires a positive argument")
     s = np.sqrt(u.value)
     f1 = 0.5 / s
     return _chain(u, s, f1, -0.25 / (s * u.value))
@@ -206,6 +207,7 @@ def _jet_atan(u: Jet2) -> Jet2:
     return _chain(u, np.arctan(u.value), 1.0 / den, -2.0 * u.value / (den * den))
 
 
+# ln and sqrt check their argument where they are compiled, not here
 _JET_FUNCTIONS = {
     "exp": _jet_exp,
     "ln": _jet_ln,
@@ -214,35 +216,10 @@ _JET_FUNCTIONS = {
     "cos": _jet_cos,
     "atan": _jet_atan,
 }
+_REAL_FUNCTIONS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin,
+                   "cos": np.cos, "atan": np.arctan}
 
 _INT_POW_LIMIT = 1000  # beyond this an integer exponent routes through exp/ln
-
-
-def _jet_int_pow(base: Jet2, n: int) -> Jet2:
-    """base**n for integer n by repeated multiplication (exact jet rules)."""
-    if n == 0:
-        one = np.ones_like(np.asarray(base.value, dtype=float))
-        return Jet2(one if one.ndim else 1.0, 0.0, 0.0)
-    if n < 0:
-        pos = _jet_int_pow(base, -n)
-        if _has_zero(pos.value):
-            raise EvalDomainError("negative power of zero")
-        one = Jet2.constant(1.0)
-        return one / pos
-    return _power_by_squaring(base, n)
-
-
-def _power_by_squaring(base, n: int):
-    """base**n for n >= 1 by square-and-multiply; base is a jet or a plain value."""
-    result = None
-    square = base
-    while n:
-        if n & 1:
-            result = square if result is None else result * square
-        n >>= 1
-        if n:
-            square = square * square
-    return result
 
 
 def _int_exponent(expo: Jet2):
@@ -261,15 +238,6 @@ def _int_exponent(expo: Jet2):
     if expo_constant and float(expo.value).is_integer() and abs(expo.value) <= _INT_POW_LIMIT:
         return int(expo.value)
     return None
-
-
-def _jet_pow(base: Jet2, expo: Jet2) -> Jet2:
-    n = _int_exponent(expo)
-    if n is not None:
-        return _jet_int_pow(base, n)
-    if _nonpositive(base.value):
-        raise EvalDomainError("a^b with non-integer b requires a > 0")
-    return _jet_exp(expo * _jet_ln(base))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +466,149 @@ def parse(text: str, variable_name: str) -> ExprAst:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _domain_error(what: str, ast: ExprAst) -> EvalDomainError:
+    return EvalDomainError(f"{what} in {format_expr(ast)}")
+
+
+def _pow(a, b, n: Optional[int], jet: bool, ast: ExprAst):
+    """a^b at the node ``ast``, for a jet (``jet``) or a plain value ``a``.
+
+    ``b`` is the exponent, a jet or a plain value like ``a``, and ``n`` is
+    ``_int_exponent`` of its jet.  An integer n multiplies by square and
+    multiply, a jet by the exact jet rules and a plain value by the same
+    products in the same order; any other exponent gives exp(b ln a).
+    """
+    if n is None:
+        if _nonpositive(a.value if jet else a):
+            raise _domain_error("a^b with non-integer b requires a > 0", ast)
+        functions = _JET_FUNCTIONS if jet else _REAL_FUNCTIONS
+        return functions["exp"](b * functions["ln"](a))
+    if n == 0:  # a first-order jet stays first order
+        one = np.ones_like(np.asarray(a.value if jet else a, dtype=float))
+        one = one if one.ndim else 1.0
+        return Jet2(one, 0.0, None if a.d2 is None else 0.0) if jet else one
+    power, square, m = None, a, abs(n)
+    while m:
+        if m & 1:
+            power = square if power is None else power * square
+        m >>= 1
+        if m:
+            square = square * square
+    if n > 0:
+        return power
+    if _has_zero(power.value if jet else power):
+        raise _domain_error("negative power of zero", ast)
+    return (Jet2.constant(1.0) if jet else 1.0) / power
+
+
+def _compile(ast: ExprAst, params: ParamEnv, jet: bool, level: int = 1):
+    """Compile ``ast`` into a closure ``f(x)`` of the free variable.
+
+    With ``jet``, ``x`` is the variable's jet and ``f(x)`` the expression's
+    jet; without, both are plain values.  The two kinds run the same
+    arithmetic in the same order, with the same domain checks and messages,
+    so a value closure returns the jet closure's ``.value`` bit for bit.
+
+    ``level`` counts the AST levels: a branch deeper than MAX_DEPTH raises
+    ExpressionError here, before its closures could exhaust the stack.
+    """
+    if level > MAX_DEPTH:
+        raise ExpressionError(f"expression too deeply nested to evaluate: a branch is "
+                              f"{level - 1 + ast.depth()} levels deep, the limit is {MAX_DEPTH}")
+    return _COMPILERS[type(ast)](ast, params, jet, level + 1)
+
+
+def _compile_num(ast: Num, params: ParamEnv, jet: bool, level: int):
+    value = Jet2.constant(ast.value) if jet else ast.value
+    return lambda x: value
+
+
+def _compile_var(ast: Var, params: ParamEnv, jet: bool, level: int):
+    return lambda x: x
+
+
+def _compile_param(ast: Param, params: ParamEnv, jet: bool, level: int):
+    """A constant looked up here; if the lookup fails it fails again when called."""
+    def lookup(x=None):
+        try:
+            value = float(params[ast.name])
+        except KeyError:
+            raise UnknownIdentifierError(
+                f"identifier {ast.name!r} is neither the free variable nor a known parameter"
+            ) from None
+        return Jet2.constant(value) if jet else value
+    try:
+        value = lookup()
+    except (TypeError, ValueError):
+        return lookup
+    return lambda x: value
+
+
+def _compile_neg(ast: Neg, params: ParamEnv, jet: bool, level: int):
+    f = _compile(ast.child, params, jet, level)
+    return lambda x: -f(x)
+
+
+def _compile_call(ast: Call, params: ParamEnv, jet: bool, level: int):
+    f = _compile(ast.arg, params, jet, level)
+    fn = (_JET_FUNCTIONS if jet else _REAL_FUNCTIONS)[ast.fn]
+    if ast.fn not in ("ln", "sqrt"):
+        return lambda x: fn(f(x))
+
+    def positive(x):
+        a = f(x)
+        if _nonpositive(a.value if jet else a):
+            raise _domain_error(f"{ast.fn} requires a positive argument", ast)
+        return fn(a)
+    return positive
+
+
+def _compile_bin(ast: Bin, params: ParamEnv, jet: bool, level: int):
+    """``left op right``; an exponent is always compiled as a jet.
+
+    Whether a^b multiplies is decided from the exponent's jet.  A jet
+    closure decides on each call.  A value closure decides a constant
+    exponent once, here, and evaluates an exponent that reads the variable
+    at ``Jet2.variable(x)`` on each call.
+    """
+    f = _compile(ast.left, params, jet, level)
+    g = _compile(ast.right, params, jet or ast.op == "^", level)
+    if ast.op in _ARITH:
+        op = _ARITH[ast.op]
+        return lambda x: op(f(x), g(x))
+    if ast.op == "/":
+        def div(x):
+            a, b = f(x), g(x)
+            if _has_zero(b.value if jet else b):
+                raise _domain_error("division by zero", ast)
+            return a / b
+        return div
+    fixed = None
+    if not jet and not any(isinstance(node, Var) for node, _ in ast.right._walk()):
+        try:
+            with np.errstate(all="ignore"):  # a float event here belongs to no call
+                expo = g(None)
+            fixed = _int_exponent(expo), expo.value
+        except (TypeError, ValueError):
+            pass  # raised again on each call, after the base
+
+    def power(x):
+        a = f(x)
+        if fixed is not None:
+            n, b = fixed
+        else:
+            expo = g(x if jet else Jet2.variable(x))
+            n, b = _int_exponent(expo), expo if jet else expo.value
+        return _pow(a, b, n, jet, ast)
+    return power
+
+
+_COMPILERS = {Num: _compile_num, Var: _compile_var, Param: _compile_param, Neg: _compile_neg,
+              Call: _compile_call, Bin: _compile_bin}
+
 
 def eval_jet(ast: ExprAst, seed: Jet2, params: ParamEnv | None = None) -> Jet2:
     """Evaluate ``ast`` and its first two derivatives at ``seed``.
@@ -506,46 +617,7 @@ def eval_jet(ast: ExprAst, seed: Jet2, params: ParamEnv | None = None) -> Jet2:
     its value may be a numpy array to evaluate a whole batch at once.
     Parameters are looked up in ``params`` and enter as constants.
     """
-    params = params or {}
-    if isinstance(ast, Num):
-        return Jet2.constant(ast.value)
-    if isinstance(ast, Var):
-        return seed
-    if isinstance(ast, Param):
-        try:
-            return Jet2.constant(float(params[ast.name]))
-        except KeyError:
-            raise UnknownIdentifierError(
-                f"identifier {ast.name!r} is neither the free variable nor a known parameter"
-            ) from None
-    if isinstance(ast, Neg):
-        return -eval_jet(ast.child, seed, params)
-    if isinstance(ast, Bin):
-        left = eval_jet(ast.left, seed, params)
-        right = eval_jet(ast.right, seed, params)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        if ast.op == "/":
-            if _has_zero(right.value):
-                raise EvalDomainError(f"division by zero in {format_expr(ast)}")
-            return left / right
-        if ast.op == "^":
-            try:
-                return _jet_pow(left, right)
-            except EvalDomainError as e:
-                raise EvalDomainError(f"{e} in {format_expr(ast)}") from None
-        raise AssertionError(ast.op)
-    if isinstance(ast, Call):
-        arg = eval_jet(ast.arg, seed, params)
-        try:
-            return _JET_FUNCTIONS[ast.fn](arg)
-        except EvalDomainError as e:
-            raise EvalDomainError(f"{e} in {format_expr(ast)}") from None
-    raise AssertionError(type(ast))
+    return _compile(ast, params or {}, True)(seed)
 
 
 def eval_real(ast: ExprAst, x: Real, params: ParamEnv | None = None) -> Real:
@@ -553,106 +625,15 @@ def eval_real(ast: ExprAst, x: Real, params: ParamEnv | None = None) -> Real:
     return compile_real(ast, params)(x)
 
 
-# ---------------------------------------------------------------------------
-# Compiled value-only evaluation
-# ---------------------------------------------------------------------------
-
-_REAL_FUNCTIONS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "sin": np.sin,
-                   "cos": np.cos, "atan": np.arctan}
-_REAL_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _real_int_pow(a: Real, n: int) -> Real:
-    """Value part of ``_jet_int_pow``, multiplying in the same order."""
-    if n == 0:
-        one = np.ones_like(np.asarray(a, dtype=float))
-        return one if one.ndim else 1.0
-    if n > 0:
-        return _power_by_squaring(a, n)
-    pos = _power_by_squaring(a, -n)
-    if _has_zero(pos):
-        raise EvalDomainError("negative power of zero")
-    return 1.0 / pos
-
-
 def compile_real(ast: ExprAst, params: ParamEnv | None = None):
     """Compile ``ast`` into a closure ``f(x)`` returning its plain value.
 
     ``f(x)`` is bit-identical to ``eval_jet(ast, Jet2.variable(x), params).value``
-    for scalar and array ``x``: it repeats eval_jet's value arithmetic in the
-    same order with the same numpy functions, and raises the same errors with
-    the same messages, but carries no derivatives.  Parameters are resolved
-    once, here.  A power whose exponent depends on the free variable is left
-    to eval_jet, which decides integer powers from the exponent's jet.
+    for scalar and array ``x``, and raises the same errors with the same
+    messages: both run ``_compile``'s closures, this one without the
+    derivatives.  Parameters and constant exponents are resolved once, here.
     """
-    params = params or {}
-
-    def delegated(x):
-        return eval_jet(ast, Jet2.variable(x), params).value
-
-    def domain_error(what):
-        return EvalDomainError(f"{what} in {format_expr(ast)}")
-
-    if isinstance(ast, Num):
-        value = ast.value
-        return lambda x: value
-    if isinstance(ast, Var):
-        return lambda x: x
-    if isinstance(ast, Param):
-        try:
-            value = float(params[ast.name])
-        except (KeyError, TypeError, ValueError):
-            return delegated  # raises when called, as eval_jet does
-        return lambda x: value
-    if isinstance(ast, Neg):
-        f = compile_real(ast.child, params)
-        return lambda x: -f(x)
-    if isinstance(ast, Call):
-        f, fn = compile_real(ast.arg, params), _REAL_FUNCTIONS[ast.fn]
-        if ast.fn not in ("ln", "sqrt"):
-            return lambda x: fn(f(x))
-
-        def positive(x):
-            a = f(x)
-            if _nonpositive(a):
-                raise domain_error(f"{ast.fn} requires a positive argument")
-            return fn(a)
-        return positive
-    if ast.op != "^":
-        f, g = compile_real(ast.left, params), compile_real(ast.right, params)
-        if ast.op in _REAL_ARITH:
-            op = _REAL_ARITH[ast.op]
-            return lambda x: op(f(x), g(x))
-
-        def div(x):
-            a, b = f(x), g(x)
-            if _has_zero(b):
-                raise domain_error("division by zero")
-            return a / b
-        return div
-    try:  # the exponent's jet stays scalar at an array seed iff it does not involve x
-        expo = eval_jet(ast.right, Jet2.variable(np.ones(1)), params)
-    except (TypeError, ValueError):  # eval_jet raises it after evaluating the base
-        expo = None
-    if expo is None or np.ndim(expo.value):
-        return delegated
-    base, n = compile_real(ast.left, params), _int_exponent(expo)
-    if n is not None:
-        def int_pow(x):
-            a = base(x)
-            try:
-                return _real_int_pow(a, n)
-            except EvalDomainError as e:
-                raise domain_error(e) from None
-        return int_pow
-    b = expo.value
-
-    def real_pow(x):
-        a = base(x)
-        if _nonpositive(a):
-            raise domain_error("a^b with non-integer b requires a > 0")
-        return np.exp(b * np.log(a))
-    return real_pow
+    return _compile(ast, params or {}, False)
 
 
 def format_expr(ast: ExprAst) -> str:

@@ -122,6 +122,15 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_profile_too_deep_to_evaluate_is_input_error(self, tmp_path, capsys):
+        # a long sum parses in a loop, but it is a tree as deep as it has terms
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
+                                 "params": {"v": "+".join(["x"] * 990)}}))
+        code, out, err = run(capsys, "certify", str(p), "--samples", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "990 levels deep" in err
+
 
 class TestCertifyTolerances:
     def test_no_flag_gives_the_default_tolerances(self, capsys):
@@ -302,6 +311,12 @@ class TestProbe:
         code, _, err = run(capsys, "probe", "--mode", "affine", "--v1", "x")
         assert code == 2
         assert "v2" in err
+
+    def test_profile_too_deep_to_evaluate_is_input_error(self, capsys):
+        code, out, err = run(capsys, "probe", "--mode", "twinwave",
+                             "--u1", "+".join(["x"] * 1100), "--u2", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "1100 levels deep" in err
 
 
 BAD_GRID_REGIONS = [

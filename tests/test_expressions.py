@@ -3,11 +3,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulercert.expressions import (
     FUNCTION_NAMES,
+    MAX_DEPTH,
     EvalDomainError,
     ExpressionError,
     Jet2,
@@ -71,6 +72,20 @@ class TestParsing:
         a = parse("1 +  2 * x", "x")
         b = parse("1+2*x", "x")
         assert eval_real(a, 3.0) == eval_real(b, 3.0)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ast: eval_jet(ast, Jet2.variable(0.5)).value,
+        lambda ast: compile_real(ast)(0.5),
+    ], ids=["eval_jet", "compile_real"])
+    def test_evaluation_depth_limit(self, evaluate):
+        def long_sum(depth):
+            ast = parse(" + ".join(["x"] * depth), "x")
+            assert ast.depth() == depth
+            return ast
+
+        assert evaluate(long_sum(MAX_DEPTH)) == 0.5 * MAX_DEPTH
+        with pytest.raises(ExpressionError, match=f" {MAX_DEPTH + 1} levels deep"):
+            evaluate(long_sum(MAX_DEPTH + 1))
 
     def test_depth_cap(self):
         deep = "(" * 300 + "x" + ")" * 300
@@ -290,6 +305,7 @@ def _assert_same_outcome(compiled, reference):
 
 
 @given(text=expression_texts, x=scalar_points)
+@example(text="2^(x - x + 3)", x=0.5)
 @settings(max_examples=400, deadline=None)
 def test_compiled_scalar_matches_jet_value(text, x):
     ast = parse(text, "x")
@@ -300,6 +316,7 @@ def test_compiled_scalar_matches_jet_value(text, x):
 
 @given(text=expression_texts,
        xs=st.lists(scalar_points, min_size=1, max_size=6))
+@example(text="2^(x - x + 3)", xs=[0.5])
 @settings(max_examples=300, deadline=None)
 def test_compiled_array_matches_jet_value(text, xs):
     ast = parse(text, "x")
@@ -331,6 +348,7 @@ def test_first_order_jet_matches_second_order(text, xs):
     ("x^-2", 0.0), ("(x - 1)^-1", 1.0),
     ("x^0.5", -4.0), ("(x - 1)^1.5", 1.0), ("x^x", -1.0), ("2^(ln(x))", -1.0),
     ("ln(x) + missing", -1.0), ("missing + ln(x)", -1.0), ("x^missing", 2.0),
+    ("(-1)^exp(-exp(1000))", 0.5),
 ])
 @pytest.mark.parametrize("batched", [False, True])
 def test_compiled_domain_errors_match(text, x, batched):
@@ -340,6 +358,14 @@ def test_compiled_domain_errors_match(text, x, batched):
     reference = _outcome(lambda: eval_jet(ast, Jet2.variable(point), PARITY_PARAMS).value)
     assert compiled[0] in (EvalDomainError, UnknownIdentifierError)
     assert compiled == reference
+
+
+@pytest.mark.parametrize("text", ["x^0", "(x + a)^0"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_zeroth_power_keeps_the_seed_order(text, order):
+    jet = eval_jet(parse(text, "x"), Jet2.variable(np.ones(2), order), PARITY_PARAMS)
+    assert jet.value.tolist() == [1.0, 1.0] and jet.d1 == 0.0
+    assert jet.d2 is None if order == 1 else jet.d2 == 0.0
 
 
 def test_eval_real_uses_compiled_values():
