@@ -234,10 +234,10 @@ def annulus_lq_norm(sol: SolutionPair, spec: NormSpec) -> NormResult:
             ``theta`` is one line shared by the rows or one line per row."""
             radius = r[rows, None]
             shape = np.broadcast_shapes(radius.shape, np.shape(theta))
-            X = np.empty(shape + (2,))
-            np.multiply(radius, np.cos(theta), out=X[..., 0])
-            np.multiply(radius, np.sin(theta), out=X[..., 1])
-            u = sol.velocity(X.reshape(-1, 2), np.full(X.size // 2, t))
+            X = np.empty((2,) + shape)  # the points axis-major, as every batch
+            np.multiply(radius, np.cos(theta), out=X[0])
+            np.multiply(radius, np.sin(theta), out=X[1])
+            u = sol.velocity(X.reshape(2, -1).T, np.full(X.size // 2, t))
             if sub is not None:  # u - 0.0 is u bit for bit, so nothing is subtracted then
                 for k, c in enumerate(sub):
                     u[:, k] -= c

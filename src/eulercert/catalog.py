@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .expressions import ExprAst, Jet2, Num, compile_real, eval_jet, parse
+from .expressions import ExprAst, Jet2, Num, compile_jet, compile_real, parse
 from .fields import (
     BlowupTime,
     FieldError,
@@ -46,6 +46,9 @@ from .fields import (
     phase_jacobian,
     radial_field_jet,
     radial_jacobian,
+    row_congruence,
+    row_matmul,
+    row_matvec,
 )
 
 __all__ = [
@@ -327,14 +330,13 @@ def ij_vortex(
     h_ast = _as_ast(h, "r")
     _require_params(c_ast, params, "c(t)")
     _require_params(h_ast, params, "h(r)")
-    c_real = compile_real(c_ast, params)
-    h_real = compile_real(h_ast, params)
+    c_real, c_jet = compile_real(c_ast, params), compile_jet(c_ast, params)
+    h_real, h_jet = compile_real(h_ast, params), compile_jet(h_ast, params)
 
     def _g_jet(r: np.ndarray, T: np.ndarray, order: int = 2):
         """Jet of g in r (first-order for ``order`` 1), plus the
         time-derivative coefficient c'(t)."""
-        cjet = eval_jet(c_ast, Jet2.variable(T, order), params)
-        hjet = eval_jet(h_ast, Jet2.variable(r, order), params)
+        cjet, hjet = c_jet(Jet2.variable(T, order)), h_jet(Jet2.variable(r, order))
         cv, ir2 = cjet.value, _inverse_square(r)
         value = np.multiply(cv, ir2)
         value += hjet.value  # c / r^2 + h
@@ -359,7 +361,7 @@ def ij_vortex(
 
     def _rotated(g, X):
         """(g x2, -g x1); overwrites ``g``."""
-        u = np.empty((len(X), 2))
+        u = np.empty((len(X), 2), order="F")
         np.multiply(g, X[:, 1], out=u[:, 0])
         np.negative(g, out=g)
         np.multiply(g, X[:, 0], out=u[:, 1])
@@ -390,9 +392,7 @@ def ij_vortex(
         y1, y2 = X[:, 0], X[:, 1]
         ir2 = _inverse_square(r)
         g2 = g.value * g.value
-        return np.stack(
-            [-cdot * ir2 * y2 + g2 * y1, cdot * ir2 * y1 + g2 * y2], axis=1
-        )
+        return np.stack([-cdot * ir2 * y2 + g2 * y1, cdot * ir2 * y1 + g2 * y2]).T
 
     def _speed_profile(r, t):
         """|u| as a function of radius and time: |g(r,t)| * r, with ``t`` a
@@ -408,7 +408,7 @@ def ij_vortex(
 
     def pressure_val(X, T):
         n = len(X)
-        cjet = eval_jet(c_ast, Jet2.variable(T), params)
+        cjet = c_jet(Jet2.variable(T))
         cv, cdot = (np.broadcast_to(v, (n,)) for v in (cjet.value, cjet.d1))
         # libm's hypot and atan2, row by row: numpy's SIMD arctan2 and hypot
         # differ from them in the last bit on some inputs and hosts
@@ -482,6 +482,7 @@ def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> Solut
     for bit.  Errors come in the order phase, profile 1, profile 2."""
     asts = profiles if isinstance(profiles, tuple) else (profiles,)
     reals = functools.cache(lambda: [compile_real(ast, params) for ast in asts])
+    jet_fns = functools.cache(lambda: [compile_jet(ast, params) for ast in asts])
 
     def both(values):  # a shared profile is evaluated once, for both components
         return values if len(values) == 2 else values * 2
@@ -489,11 +490,11 @@ def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> Solut
     def jets(X, T, order):
         eta, grad, lap, dt = phase(X, T)
         seed = Jet2.variable(eta, order=order)
-        return both([eval_jet(ast, seed, params) for ast in asts]), grad, lap, dt
+        return both([f(seed) for f in jet_fns()]), grad, lap, dt
 
     def velocity(X, T):
         eta = phase(X, T)[0]
-        value = np.empty((len(X), 2))
+        value = np.empty((len(X), 2), order="F")
         for i, (v, a) in enumerate(zip(both([f(eta) for f in reals()]), coeffs)):
             if a != 1.0:
                 v = np.multiply(a, v, out=value[:, i])
@@ -513,7 +514,7 @@ def _phase_pair(profiles, params: dict, coeffs, offsets, phase, **pair) -> Solut
 
     return SolutionPair(dimension=2, viscosity=0.0, velocity=velocity, velocity_jet=velocity_jet,
                         velocity_jacobian=velocity_jacobian,
-                        pressure_gradient=lambda X, T: np.zeros((len(X), 2)),
+                        pressure_gradient=lambda X, T: np.zeros((len(X), 2), order="F"),
                         pressure_value=lambda X, T: np.zeros(len(X)), **pair)
 
 
@@ -571,7 +572,7 @@ def linear3d(
     params = dict(params or {})
     f_ast = _as_ast(f, "t")
     _require_params(f_ast, params, "f(t)")
-    f_real = compile_real(f_ast, params)
+    f_real, f_jet = compile_real(f_ast, params), compile_jet(f_ast, params)
     C = np.asarray(C, dtype=float)
     if C.shape != (3, 3):
         raise FieldError("C must be a 3x3 matrix")
@@ -586,13 +587,13 @@ def linear3d(
 
     def _f_columns(T, n):
         """f(t) and f'(t) as (n,) columns."""
-        fj = eval_jet(f_ast, Jet2.variable(T), params)
+        fj = f_jet(Jet2.variable(T))
         return (np.broadcast_to(np.asarray(fj.value, dtype=float), (n,)),
                 np.broadcast_to(np.asarray(fj.d1, dtype=float), (n,)))
 
     def velocity(X, T):
         fv = np.asarray(f_real(T))
-        Cx = X @ C
+        Cx = row_matmul(X, C)
         if not fv.ndim:
             return np.multiply(fv, Cx, out=Cx)
         for k in range(3):
@@ -602,20 +603,20 @@ def linear3d(
     def velocity_jet(X, T):
         n = len(X)
         fv, fd = _f_columns(T, n)
-        Cx = X @ C
+        Cx = row_matmul(X, C)
         value = fv[:, None] * Cx
-        jac = fv[:, None, None] * C[None, :, :]
-        lap = np.zeros((n, 3))
+        jac = np.multiply(fv[:, None, None], C[None, :, :], out=np.empty((n, 3, 3), order="F"))
+        lap = np.zeros((n, 3), order="F")
         dt = fd[:, None] * Cx
         return VelocityJet(value, jac, lap, dt)
 
     def pressure_gradient(X, T):
         fv, fd = _f_columns(T, len(X))
-        return -(fv * fv)[:, None] * (X @ C2) - fd[:, None] * (X @ C)
+        return -(fv * fv)[:, None] * row_matmul(X, C2) - fd[:, None] * row_matmul(X, C)
 
     def pressure_val(X, T):
         fv, fd = _f_columns(T, len(X))
-        Cx = X @ C
+        Cx = row_matmul(X, C)
         return -0.5 * fv * fv * np.sum(Cx * Cx, axis=1) - 0.5 * fd * np.sum(X * Cx, axis=1)
 
     primitives = (BlowupTime(blowup_time),) if blowup_time is not None else ()
@@ -696,7 +697,7 @@ def ns_halfspace_blowup(
 
     def velocity(X, T_):
         _, u12, isq, E = _parts(X, T_)
-        u = np.empty((len(X), 3))
+        u = np.empty((len(X), 3), order="F")
         np.add(-1.0, E, out=u12)
         np.multiply(isq, u12, out=u[:, 0])  # isq (-1 + E)
         u[:, 1] = u[:, 0]
@@ -714,24 +715,24 @@ def ns_halfspace_blowup(
         A_t = s * s / (12.0 * sigma * tau * tau) - 0.5 * s * isq / (sigma * tau)
         u12 = isq * (-1.0 + E)
         u3 = -isq * (1.0 + 2.0 * E)
-        value = np.stack([u12, u12, u3], axis=1)
+        value = np.stack([u12, u12, u3]).T  # (n, 3) F-order, as every stack here
         # d/ds of the components: (w, w, -2w); every spatial direction sees
         # the same derivative, which makes the Jacobian trace exactly zero.
         w = isq * E * A_s
-        us = np.stack([w, w, -2.0 * w], axis=1)
-        jac = np.repeat(us[:, :, None], 3, axis=2)
+        jac = np.empty((n, 3, 3), order="F")
+        jac[...] = np.stack([w, w, -2.0 * w]).T[:, :, None]
         w2 = isq * E * (A_s * A_s + A_ss)
-        lap = 3.0 * np.stack([w2, w2, -2.0 * w2], axis=1)
+        lap = 3.0 * np.stack([w2, w2, -2.0 * w2]).T
         halftau32 = 0.5 * isq / tau
         u12_t = halftau32 * (-1.0 + E) + isq * E * A_t
         u3_t = -(halftau32 * (1.0 + 2.0 * E) + 2.0 * isq * E * A_t)
-        dt = np.stack([u12_t, u12_t, u3_t], axis=1)
+        dt = np.stack([u12_t, u12_t, u3_t]).T
         return VelocityJet(value, jac, lap, dt)
 
     def pressure_gradient(X, T_):
         tau, s, isq, E = _parts(X, T_)
         ps = sign * 0.5 * isq / tau
-        return np.repeat(ps[:, None], 3, axis=1)
+        return np.stack([ps, ps, ps]).T
 
     def pressure_val(X, T_):
         tau, s, isq, E = _parts(X, T_)
@@ -843,7 +844,7 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
                 np.multiply(T, c, out=X[:, k])
                 np.subtract(X0[:, k], X[:, k], out=X[:, k])
         if Q is not None:
-            X = X @ Q.T
+            X = row_matmul(X, Q.T)
         if not scaled:
             return X, T
         return np.divide(X, lam, out=None if X is X0 else X), T / tau
@@ -852,7 +853,7 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         u = base_v(*pull(X, T))
         own = Q is not None  # only arrays made here are written in place
         if own:
-            u = u @ Q
+            u = row_matmul(u, Q)
         if scaled:
             u = np.multiply(amp, u, out=u if own else None)
             own = True
@@ -867,25 +868,25 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         jet = base_j(*pull(X, T))
         value, jac, lap, dt = jet.value, jet.jacobian, jet.laplacian, jet.dt
         if Q is not None:
-            value, lap, dt = value @ Q, lap @ Q, dt @ Q
-            jac = np.einsum("ji,njk,kl->nil", Q, jac, Q)
+            value, lap, dt = row_matmul(value, Q), row_matmul(lap, Q), row_matmul(dt, Q)
+            jac = row_congruence(Q, jac)
         if scaled:
             value, jac, lap, dt = amp * value, jac / tau, lap / (lam * tau), (lam / tau**2) * dt
         if C is not None:
-            value, dt = value + C, dt - np.einsum("nij,j->ni", jac, C)
+            value, dt = value + C, dt - row_matvec(jac, C)
         return VelocityJet(value, jac, lap, dt)
 
     def velocity_jacobian(X, T):
         # the jet's Jacobian arithmetic; a boost leaves the Jacobian unchanged
         jac = base_jac(*pull(X, T))
         if Q is not None:
-            jac = np.einsum("ji,njk,kl->nil", Q, jac, Q)
+            jac = row_congruence(Q, jac)
         return jac / tau if scaled else jac
 
     def pressure_gradient(X, T):
         g = base_pg(*pull(X, T))
         if Q is not None:
-            g = g @ Q
+            g = row_matmul(g, Q)
         return (lam / tau**2) * g if scaled else g
 
     def pressure_val(X, T):

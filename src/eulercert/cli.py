@@ -673,6 +673,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy refuses an allocation larger than memory at once
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ truncated second-order Taylor triples (value, d1, d2) through the tree, so
 every profile automatically carries the derivatives that the PDE residual
 formulas need.  A first-order seed (``Jet2.variable(x, order=1)``) skips the
 second derivatives and carries the same value and d1.  One compiler turns
-an AST into closures that run either on jets (``eval_jet``) or, where only
-values are needed, on plain values (``compile_real``): the same program,
-without the derivatives.
+an AST into closures that run either on jets (``compile_jet``, which
+``eval_jet`` calls) or, where only values are needed, on plain values
+(``compile_real``): the same program, without the derivatives.
 
 Grammar summary:
 
@@ -51,6 +51,7 @@ __all__ = [
     "parse",
     "eval_jet",
     "eval_real",
+    "compile_jet",
     "compile_real",
     "format_expr",
 ]
@@ -617,7 +618,14 @@ def eval_jet(ast: ExprAst, seed: Jet2, params: ParamEnv | None = None) -> Jet2:
     its value may be a numpy array to evaluate a whole batch at once.
     Parameters are looked up in ``params`` and enter as constants.
     """
-    return _compile(ast, params or {}, True)(seed)
+    return compile_jet(ast, params)(seed)
+
+
+def compile_jet(ast: ExprAst, params: ParamEnv | None = None):
+    """Compile ``ast`` into a closure ``f(seed)`` returning its jet at the
+    jet ``seed`` of the free variable, of either order: ``eval_jet`` without
+    compiling again on each call.  Parameters are resolved once, here."""
+    return _compile(ast, params or {}, True)
 
 
 def eval_real(ast: ExprAst, x: Real, params: ParamEnv | None = None) -> Real:

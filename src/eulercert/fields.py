@@ -61,6 +61,9 @@ __all__ = [
     "DEFAULT_EXCLUSION_RADIUS",
     "row_norm",
     "row_max",
+    "row_matmul",
+    "row_matvec",
+    "row_congruence",
     "radial_jacobian",
     "radial_field_jet",
     "phase_jacobian",
@@ -128,13 +131,28 @@ class PressureInfo:
 # ---------------------------------------------------------------------------
 # Row reductions over the point axis
 #
-# Per-point arrays have shape (N, dim) with dim = 2 or 3.  numpy broadcasts
-# and reduces over such a short trailing axis several times more slowly than
-# it works on whole columns, so the hot paths work one column at a time.
-# Column folds run left to right, which for 2-3 columns is numpy's own
-# order, so every value equals its numpy form.  Matrix products, einsums
-# and the Gauss-Legendre sums of ``catalog.quad`` keep numpy's order:
-# theirs is not a left fold.
+# Per-point arrays have shape (N, dim) or (N, dim, dim) with dim = 2 or 3,
+# and they are axis-major (F-order), the one layout for point batches:
+# ``verification._sample_arrays`` draws the points so, ``_shift_points``
+# keeps the layout when it copies, and every kernel allocates its outputs
+# so.  A column X[:, k] or an entry jac[:, i, j] is then one contiguous run.
+# numpy broadcasts and reduces over such a short trailing axis several times
+# more slowly than it works on whole columns, so the hot paths work one
+# column at a time.  Column folds run left to right, which for 2-3 columns
+# is numpy's own order, so every value equals its numpy form.  Products with
+# a 2x2 or 3x3 right operand (``row_matmul``), sums over an axis and the
+# Gauss-Legendre sums of ``catalog.quad`` keep numpy's order, which gives
+# the same bits in either layout.  Three contractions do not; they are
+# pinned to the order numpy takes on C-contiguous operands, which every
+# pinned report digest and benchmark golden holds:
+#   - einsum 'nij,nj->ni' (the convection term) and 'nij,j->ni' (a boost's
+#     correction) sum three terms as (j0 + j2) + j1; ``row_matvec``;
+#   - einsum 'ji,njk,kl->nil' (a rotated Jacobian) sums (Q_ji J_jk) Q_kl
+#     over j, then k, left to right; ``row_congruence``;
+#   - a matrix-vector product fuses multiply-adds, and its column-major
+#     kernel rounds some rows differently; ``MovingLine.distance`` forms it
+#     from a C-contiguous copy of the points.
+# einsum sums from +0.0, so ``_einsum_fold`` does too: a zero sum is +0.0.
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +195,48 @@ def row_max(A: np.ndarray) -> np.ndarray:
     out = A[:, 0].copy()
     for j in range(1, A.shape[1]):
         np.maximum(out, A[:, j], out=out)
+    return out
+
+
+def row_matmul(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``A @ M`` for an (N, dim) ``A`` and a small ``M``, as an F-order array;
+    the same bits as ``A @ M`` in either layout of ``A``."""
+    return np.matmul(A, M, out=np.empty((len(A), M.shape[1]), order="F"))
+
+
+def _einsum_fold(products, out: np.ndarray) -> np.ndarray:
+    """Sum the columns ``products`` into ``out`` left to right from +0.0."""
+    products = iter(products)
+    np.add(0.0, next(products), out=out)
+    for p in products:
+        out += p
+    return out
+
+
+_MATVEC_ORDER = {2: (0, 1), 3: (0, 2, 1)}  # einsum's over a C-contiguous axis
+
+
+def row_matvec(J: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.einsum('nij,nj->ni', J, v)`` (``'nij,j->ni'`` for a 1-D ``v``)
+    as numpy sums it on C-contiguous operands, whatever their layout; an
+    F-order (N, dim) array."""
+    n, d = J.shape[:2]
+    out = np.empty((n, d), order="F")
+    for i in range(d):
+        _einsum_fold((J[:, i, j] * v[..., j] for j in _MATVEC_ORDER[d]), out[:, i])
+    return out
+
+
+def row_congruence(Q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Q^T J Q at every point, ``np.einsum('ji,njk,kl->nil', Q, J, Q)`` as
+    numpy sums it on a C-contiguous ``J``, whatever its layout; an F-order
+    (N, dim, dim) array."""
+    n, d = J.shape[:2]
+    out = np.empty((n, d, d), order="F")
+    for i in range(d):
+        for m in range(d):
+            _einsum_fold((Q[j, i] * J[:, j, k] * Q[k, m] for j in range(d) for k in range(d)),
+                         out[:, i, m])
     return out
 
 
@@ -241,7 +301,8 @@ class MovingLine:
         object.__setattr__(self, "b1", float(self.b1 / scale))
 
     def distance(self, X, T):
-        return np.abs(X @ np.asarray(self.normal) - self.b0 - self.b1 * T)
+        # pinned to the row-major product (see "Row reductions" above)
+        return np.abs(np.ascontiguousarray(X) @ np.asarray(self.normal) - self.b0 - self.b1 * T)
 
     def moved(self, lam=1.0, tau=1.0, Q=None, C=None):
         normal = self.normal if Q is None else tuple(Q.T @ np.asarray(self.normal))
@@ -442,7 +503,7 @@ def radial_jacobian(phi: Jet2, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
     y1, y2 = Y[:, 0], Y[:, 1]
     q = np.divide(phi.d1, r)
     term = np.multiply(q, y1)
-    jac = np.empty((len(r), 2, 2))
+    jac = np.empty((len(r), 2, 2), order="F")
     np.multiply(term, y2, out=jac[:, 0, 0])  # q y1 y2
     np.negative(jac[:, 0, 0], out=jac[:, 1, 1])
     np.multiply(q, y2, out=term)
@@ -464,7 +525,7 @@ def radial_field_jet(phi: Jet2, Y: np.ndarray, r: np.ndarray):
     y1, y2 = Y[:, 0], Y[:, 1]
     jac = radial_jacobian(phi, Y, r)
     n = len(r)
-    value, lap, lapfac = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+    value, lap, lapfac = np.empty((n, 2), order="F"), np.empty((n, 2), order="F"), np.empty(n)
     np.multiply(phi.value, y2, out=value[:, 0])
     np.negative(phi.value, out=value[:, 1])
     value[:, 1] *= y1  # -phi y1
@@ -488,7 +549,7 @@ def phase_field_jet(n: int, profiles, coeffs, offsets, grad, lap, dt) -> Velocit
     du_i/dx_j = d_j eta a_i V_i', lap u_i = a_i (|grad eta|^2 V_i'' +
     lap eta V_i') and du_i/dt = d_t eta a_i V_i'.
     """
-    value, lap_u, dt_u = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    value, lap_u, dt_u = (np.empty((n, 2), order="F") for _ in range(3))
     grad2 = grad[0] * grad[0] + grad[1] * grad[1]
     for i, (V, a) in enumerate(zip(profiles, coeffs)):
         v, vp, vpp = V.value, V.d1, V.d2
@@ -504,7 +565,7 @@ def phase_field_jet(n: int, profiles, coeffs, offsets, grad, lap, dt) -> Velocit
 def phase_jacobian(n: int, profiles, coeffs, grad) -> np.ndarray:
     """Jacobian (n,2,2) of the ``phase_field_jet`` field, du_i/dx_j =
     d_j eta a_i V_i'; reads only the first derivative of each profile."""
-    jac = np.empty((n, 2, 2))
+    jac = np.empty((n, 2, 2), order="F")
     for i, (V, a) in enumerate(zip(profiles, coeffs)):
         vp = V.d1 if a == 1.0 else np.multiply(a, V.d1, out=jac[:, i, 1])
         np.multiply(grad[0], vp, out=jac[:, i, 0])

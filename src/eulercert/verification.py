@@ -39,6 +39,7 @@ from .fields import (
     SolutionPair,
     SpaceTimePoint,
     VelocityJet,
+    row_matvec,
     row_max as _row_max,
     row_norm,
     vorticity_batch,
@@ -254,7 +255,7 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
                    _BLOCK_DRAWS // (dim + 1), max_attempts - drawn)
         u = _splitmix64_block(region.seed, drawn * (dim + 1), rows * (dim + 1))
         u = u.reshape(rows, dim + 1)
-        X = np.empty((rows, dim))
+        X = np.empty((rows, dim), order="F")
         for k, (lo, hi) in enumerate(region.box):
             np.multiply(u[:, k], hi - lo, out=X[:, k])
             np.add(lo, X[:, k], out=X[:, k])
@@ -262,14 +263,22 @@ def _sample_arrays(region: SampleRegion, sing: SingularSetDescriptor, radius: fl
         np.add(t0, T, out=T)
         keep = np.flatnonzero(sing.admissible(X, T, radius))[:n - accepted]
         if len(keep) and keep[-1] == len(keep) - 1:  # a prefix: slice it, not gather
-            keep = slice(len(keep))
-        xs.append(X[keep])
-        ts.append(T[keep])
+            xs.append(X[:len(keep)])
+            ts.append(T[:len(keep)])
+        else:
+            xs.append(_take_rows(X, keep))
+            ts.append(T[keep])
         accepted += len(ts[-1])
         drawn += rows
     if len(xs) == 1:
         return xs[0], ts[0]
     return np.concatenate(xs), np.concatenate(ts)
+
+
+def _take_rows(X, rows):
+    """``X[rows]`` for an index array ``rows``, gathered column by column so
+    that the points stay axis-major (``X[rows]`` is row-major)."""
+    return np.take(X.T, rows, axis=1).T
 
 
 def sample_points(region: SampleRegion, sing: SingularSetDescriptor,
@@ -287,7 +296,7 @@ def sample_points(region: SampleRegion, sing: SingularSetDescriptor,
 def _residual_batch(sol: SolutionPair, X: np.ndarray, T: np.ndarray, jet) -> np.ndarray:
     """Momentum residual rows; ``jet`` is ``sol.velocity_jet(X, T)``."""
     grad_p = sol.pressure_gradient(X, T)
-    res = np.einsum("nij,nj->ni", jet.jacobian, jet.value)  # the convection term
+    res = row_matvec(jet.jacobian, jet.value)  # the convection term
     np.add(jet.dt, res, out=res)
     res += grad_p
     if sol.viscosity != 0.0:
@@ -326,7 +335,7 @@ def _shift_points(X, T, axis, h):
         step = m * h
         if axis == X.shape[1]:
             return X, np.add(T, step, out=step)
-        Xs = X.copy()
+        Xs = X.copy(order="K")
         Xs[:, axis] += step
         return Xs, T
 
@@ -400,8 +409,8 @@ def _fd_velocity_jet(sol: SolutionPair, X, T, steps, u):
     """
     n, dim = X.shape
     hx1, ht1, hx2 = steps
-    jac = np.empty((n, dim, dim))
-    lap = np.zeros((n, dim))
+    jac = np.empty((n, dim, dim), order="F")
+    lap = np.zeros((n, dim), order="F")
     for j in range(dim):
         jac[:, :, j] = _fd1(_shifted(sol.velocity, X, T, j, hx1[:, j]), hx1[:, j])
         lap += _fd2(_shifted(sol.velocity, X, T, j, hx2[:, j]), u, hx2[:, j])
@@ -418,7 +427,7 @@ def _fd_pressure_gradient(sol: SolutionPair, X, T):
     n, dim = X.shape
     Xs, Ts = zip(*(pt for j in range(dim) for pt in _shift_points(X, T, j, hx[:, j])))
     p = sol.pressure_value(np.concatenate(Xs), np.concatenate(Ts)).reshape(dim, 4, n)
-    grad = np.empty(X.shape)
+    grad = np.empty(X.shape, order="F")
     for j in range(dim):
         grad[:, j] = _fd1(p[j], hx[:, j])
     return grad
@@ -467,7 +476,7 @@ def _fd_panel(sol, X, T, jet=None, u=None, steps=None) -> np.ndarray:
         jet, u = sol.velocity_jet(X, T), sol.velocity(X, T)
         steps = _fd_steps(X, T, sol.singular.clearance(X, T))
     jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
-    d = _row_max(_rel_discrepancy(jet.jacobian, jac_fd).reshape(len(X), -1))
+    d = _row_max(_rel_discrepancy(jet.jacobian, jac_fd).reshape(len(X), -1, order="F"))
     np.maximum(d, _row_max(_rel_discrepancy(jet.laplacian, lap_fd)), out=d)
     return np.maximum(d, _row_max(_rel_discrepancy(jet.dt, dt_fd)), out=d)
 
@@ -591,8 +600,9 @@ def certify(sol: SolutionPair, region: Optional[SampleRegion] = None,
         sel = sel[:PRESSURE_FD_SUBSET]
         if len(sel):
             n_pressure = len(sel)
-            grad_fd = _fd_pressure_gradient(sol, X[sel], T[sel])
-            grad = sol.pressure_gradient(X[sel], T[sel])
+            Xp, Tp = _take_rows(X, sel), T[sel]
+            grad_fd = _fd_pressure_gradient(sol, Xp, Tp)
+            grad = sol.pressure_gradient(Xp, Tp)
             fd_p = _row_max(_rel_discrepancy(grad, grad_fd))
             fd[sel] = np.maximum(fd[sel], fd_p)
 

@@ -17,7 +17,7 @@ from eulercert.catalog import (
     preset_ids,
     twin_wave,
 )
-from eulercert.expressions import Jet2, compile_real, eval_jet, parse
+from eulercert.expressions import Jet2, compile_jet, compile_real, eval_jet, parse
 from eulercert.fields import FieldError, InadmissiblePointError, SpaceTimePoint
 from eulercert.verification import (
     FD_STEP1,
@@ -694,22 +694,34 @@ class TestBatchedPressureValue:
         assert base_p.tobytes() == np.array(ref).tobytes()
 
     def test_one_circulation_jet_per_call(self, monkeypatch):
-        counted = []
+        """The pair compiles its jets once, when it is built; each
+        ``pressure_value`` call runs the circulation's jet once, whatever the
+        number of points."""
+        compiled, counted = [], []
 
-        def counting(ast, seed, params=None):
-            counted.append(ast)
-            return eval_jet(ast, seed, params)
+        def counting_compile(ast, params=None):
+            compiled.append(ast)
+            f = compile_jet(ast, params)
 
-        monkeypatch.setattr(catalog, "eval_jet", counting)
+            def run(seed):
+                counted.append(ast)
+                return f(seed)
+            return run
+
+        monkeypatch.setattr(catalog, "compile_jet", counting_compile)
         sol = preset("ex_2_6")
+        circulation = parse("1/(T - t)", "t")
+        assert circulation in compiled
+        built = len(compiled)
         X, T = _sample_arrays(default_region(sol, count=500, seed=1), sol.singular,
                               sol.exclusion_radius)
         per_call = []
         for n in (1, 10, 500):
             counted.clear()
             sol.pressure_value(X[:n], T[:n])
-            per_call.append(len(counted))
-        assert per_call[0] == per_call[1] == per_call[2]
+            per_call.append(counted.count(circulation))
+        assert per_call == [1, 1, 1]
+        assert len(compiled) == built
 
 
 # 2 pi I_0(k) = integral over one period of exp(k cos theta); rows with a

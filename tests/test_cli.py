@@ -372,6 +372,12 @@ class TestGridDump:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_grid_numpy_cannot_allocate_is_input_error(self, capsys):
+        # numpy refuses the 745 GiB time axis at once, without touching memory
+        code, out, err = run(capsys, "grid-dump", "ex_3_2", "--nx", "2", "--nt", "100000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_box_whose_width_overflows_is_input_error(self, capsys):
         # -1e308 written out in decimal: argparse takes "-1e308" for an option
         code, out, err = run(capsys, "grid-dump", "ex_2_6", "--box", "-1" + "0" * 308, "1e308",

@@ -306,6 +306,77 @@ class TestRowReductions:
         assert np.array_equal(A, before)
 
 
+def _same_bits(a, b):
+    """Equal bit for bit, every NaN counted equal to every other."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@st.composite
+def _jacobians_and_vectors(draw):
+    """(J, v, c): (n, d, d), (n, d) and (d,) arrays, each C- or F-order."""
+    n, d = draw(st.integers(1, 40)), draw(st.sampled_from([2, 3]))
+    elements = st.one_of(st.floats(width=64), st.sampled_from(EDGE_VALUES))
+    J, v, c = (draw(hnp.arrays(np.float64, shape, elements=elements))
+               for shape in ((n, d, d), (n, d), (d,)))
+    if draw(st.booleans()):
+        J, v = np.asfortranarray(J), np.asfortranarray(v)
+    return J, v, c
+
+
+class TestAxisMajorContractions:
+    """The pinned contractions give numpy's bits on C-contiguous operands
+    whatever the operands' layout, and return axis-major arrays."""
+
+    @given(Jvc=_jacobians_and_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_row_matvec_is_the_c_order_einsum(self, Jvc):
+        J, v, c = Jvc
+        Jc = np.ascontiguousarray(J)
+        with np.errstate(all="ignore"):
+            got, want = fields.row_matvec(J, v), np.einsum("nij,nj->ni", Jc, np.ascontiguousarray(v))
+            got_c, want_c = fields.row_matvec(J, c), np.einsum("nij,j->ni", Jc, c)
+        assert _same_bits(got, want) and _same_bits(got_c, want_c)
+        assert got.strides[0] == got_c.strides[0] == 8
+
+    @given(Jvc=_jacobians_and_vectors(), angle=st.floats(-7.0, 7.0))
+    @settings(max_examples=100, deadline=None)
+    def test_row_congruence_is_the_c_order_einsum(self, Jvc, angle):
+        J = Jvc[0][:, :2, :2]
+        Q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        with np.errstate(all="ignore"):
+            got = fields.row_congruence(Q, J)
+            want = np.einsum("ji,njk,kl->nil", Q, np.ascontiguousarray(J), Q)
+        assert _same_bits(got, want) and got.strides[0] == 8
+
+    def test_zero_sums_are_positive_as_in_einsum(self):
+        signed = [0.0, -0.0, 1.0, -1.0]
+        J = np.array([[[a, b, c]] * 3 for a in signed for b in signed for c in signed])
+        v = np.ones((len(J), 3))
+        assert fields.row_matvec(J, v).tobytes() == np.einsum("nij,nj->ni", J, v).tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_matmul_is_the_product(self, layout, d):
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((101, d)) * np.exp(rng.uniform(-20, 20, (101, d)))
+        M = rng.standard_normal((d, d))
+        want = A @ M
+        A = {"C": A, "F": np.asfortranarray(A), "strided": np.asfortranarray(A)[::2]}[layout]
+        got = fields.row_matmul(A, M)
+        assert got.tobytes() == (want if layout != "strided" else want[::2]).tobytes()
+        assert got.strides[0] == 8
+
+    def test_line_distance_does_not_depend_on_the_layout(self):
+        # the column-major matrix-vector kernel rounds some rows differently
+        rng = np.random.default_rng(5)
+        line = MovingLine((0.6, -1.3), 0.2, 0.7)
+        for n in range(1, 65):
+            X = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-3, 3, (n, 2)))
+            T = rng.random(n)
+            assert line.distance(np.asfortranarray(X), T).tobytes() == line.distance(X, T).tobytes()
+
+
 def _points(n, dim, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-3.0, 3.0, (n, dim)), rng.uniform(0.0, 2.0, n)

@@ -11,9 +11,10 @@ digests and says why.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from eulercert.catalog import TransformSpec, apply_transform, preset, preset_ids
+from eulercert.catalog import TransformSpec, apply_transform, linear3d, preset, preset_ids
 from eulercert.verification import certify, default_region
 
 REPORT_SHA256 = {
@@ -46,14 +47,19 @@ def _boosted(sol, *C):
 
 
 # Paths no preset takes: a shifted half-space, a three-column boost, a boost
-# of the half-space followed by a rescale, and a planar boost off the axes.
-# Recorded before the point offsets and row sums moved to column folds.
+# of the half-space followed by a rescale, a planar boost off the axes, and
+# a linear strain with a non-diagonal C, whose convection term sums three
+# nonzero products (a diagonal C makes their order irrelevant).  Recorded
+# before the point offsets and row sums moved to column folds; the linear
+# strain before point batches became axis-major.
 OFF_PRESET = {
     "ex_6_1_x0": lambda: preset("ex_6_1", {"x0": [0.3, -0.2, 0.1]}),
     "ex_5_1_blowup_boosted": lambda: _boosted(preset("ex_5_1_blowup"), 0.4, -0.7, 0.25),
     "ex_6_1_boosted_rescaled": lambda: apply_transform(
         _boosted(preset("ex_6_1"), 0.2, -0.1, 0.3), TransformSpec.rescale(1.5, 2.0)),
     "ex_2_5_boosted": lambda: _boosted(preset("ex_2_5"), 0.7, -1.3),
+    "linear3d_nondiagonal": lambda: linear3d(
+        "1/(2 - t)", np.array([[1.0, 0.3, 0.2], [0.3, 1.0, -0.7], [0.2, -0.7, -2.0]])),
 }
 
 OFF_PRESET_SHA256 = {
@@ -61,6 +67,7 @@ OFF_PRESET_SHA256 = {
     "ex_5_1_blowup_boosted": "0831cf36d2a69c6925994f3ea7da5f0695ffa7597e9e78ae279a21f2bac214cf",
     "ex_6_1_boosted_rescaled": "29234376687cea0b80474a82067a8d0aff3c636bd54208a6e2b3e2062b58e682",
     "ex_2_5_boosted": "9a79d54d0fd0689a4cc45b5bf7aa2c2d26036090c4e3692d0cb9c0cd2e6d93c1",
+    "linear3d_nondiagonal": "4383012501b34d0fef295e2c24e3c74b4dddcdd88773676daada2d5d9cb35bd4",
 }
 
 

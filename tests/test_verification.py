@@ -45,6 +45,7 @@ from eulercert.verification import (
     _fd1,
     _fd2,
     _divergence_batch,
+    _fd_panel,
     _fd_pressure_gradient,
     _fd_steps,
     _fd_velocity_jet,
@@ -723,7 +724,9 @@ class TestSinglePointThroughBatchKernels:
         u = sol.velocity(X, T)
         steps = _fd_steps(X, T, sol.singular.clearance(X, T))
         jac_fd, lap_fd, dt_fd = _fd_velocity_jet(sol, X, T, steps, u)
-        want = dt_fd + np.einsum("nij,nj->ni", jac_fd, u) + sol.pressure_gradient(X, T)
+        # numpy's sum order on C-contiguous operands, which ``row_matvec`` pins
+        conv = np.einsum("nij,nj->ni", np.ascontiguousarray(jac_fd), np.ascontiguousarray(u))
+        want = dt_fd + conv + sol.pressure_gradient(X, T)
         if sol.viscosity != 0.0:
             want = want - sol.viscosity * lap_fd
         assert residual_fd_only(sol, X, T).tobytes() == want.tobytes()
@@ -734,3 +737,39 @@ class TestSinglePointThroughBatchKernels:
         X, T = sol.check_admissible(p)
         want_X, want_T = p.arrays()
         assert X.tobytes() == want_X.tobytes() and T.tobytes() == want_T.tobytes()
+
+
+# Presets and a rotated, boosted pair of each planar family: rotation is the
+# one transform no preset takes.
+LAYOUT_PAIRS = {pid: (lambda pid=pid: preset(pid)) for pid in preset_ids()}
+LAYOUT_PAIRS.update({
+    f"{pid}_rotated": (lambda pid=pid: apply_transform(
+        apply_transform(preset(pid), TransformSpec.rotation(0.7)), TransformSpec.boost((0.3, -0.4))))
+    for pid in ("ex_2_6", "ex_3_10")
+})
+
+
+class TestAxisMajorBatches:
+    """Point batches are axis-major end to end, and a batch's layout never
+    changes a bit: every kernel gives the same bytes on a row-major copy."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_PAIRS))
+    def test_kernels_are_axis_major_and_layout_free(self, name):
+        sol = LAYOUT_PAIRS[name]()
+        X, T = _sample_arrays(default_region(sol, count=300, seed=2), sol.singular,
+                              sol.exclusion_radius)
+        assert X.strides[0] == 8
+
+        def outputs(X):
+            jet = sol.velocity_jet(X, T)
+            got = [sol.velocity(X, T), jet.value, jet.jacobian, jet.laplacian, jet.dt,
+                   sol.pressure_gradient(X, T), _residual_batch(sol, X, T, jet)]
+            if sol.velocity_jacobian is not None:
+                got.append(sol.velocity_jacobian(X, T))
+            return got, [sol.singular.clearance(X, T), _fd_panel(sol, X, T)]
+
+        axis_major, scalars = outputs(X)
+        row_major, row_scalars = outputs(np.ascontiguousarray(X))
+        assert all(a.strides[0] == 8 for a in axis_major + row_major)
+        for a, b in zip(axis_major + scalars, row_major + row_scalars):
+            assert a.tobytes() == b.tobytes()
