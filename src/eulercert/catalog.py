@@ -532,7 +532,8 @@ def twin_wave(
     xi = c3 x1 - x2 - (c3 c1 - c2) t.  The pressure is normalized to zero
     (only its gradient enters the momentum equation).  ``singular_offsets``
     lists xi-values where the profile has poles; each becomes a moving-line
-    singular primitive.
+    singular primitive.  The pair states ``wave_normal`` = (c3, -1) /
+    |(c3, -1)|: u depends on x only through n.x.
     """
     params = dict(params or {})
     v_ast = _as_ast(v, "x")
@@ -545,8 +546,9 @@ def twin_wave(
                             exclusion_radius=exclusion_radius,
                             singular_xi=list(singular_offsets)),
     }
+    norm = math.hypot(c3, 1.0)
     return _phase_pair(v_ast, params, (1.0, c3), (c1, c2), _wave_phase(c3, speed),
-                       singular=SingularSetDescriptor(lines),
+                       singular=SingularSetDescriptor(lines), wave_normal=(c3 / norm, -1.0 / norm),
                        exclusion_radius=exclusion_radius, metadata=metadata)
 
 
@@ -906,6 +908,8 @@ def _step(sol: SolutionPair, entry: dict, lam: float = 1.0, tau: float = 1.0,
         if scaled:
             total = amp * total
         mapped["boost_total"] = tuple(map(float, total if C is None else total + C))
+    if Q is not None and sol.wave_normal is not None:  # n.(Q x) is (Q^T n).x
+        mapped["wave_normal"] = tuple(map(float, Q.T @ np.asarray(sol.wave_normal)))
     # the facts describe |w - boost_total|, which a boost or a rotation keeps
     if scaled:
         t0, t1 = sol.default_time

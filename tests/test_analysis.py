@@ -38,6 +38,17 @@ AFFINE_PROFILES = [
 ]
 
 
+def _without_wave_normal(sol):
+    """The same plane wave, forced onto the generic polar path of annulus_lq_norm."""
+    return dataclasses.replace(sol, wave_normal=None)
+
+
+# A twin-wave norm on the plane-wave path (the pair as built) and on the
+# polar path (the fact stripped): both must give the same value.
+BOTH_PATHS = pytest.mark.parametrize("path", [lambda sol: sol, _without_wave_normal],
+                                     ids=["plane-wave", "polar"])
+
+
 class TestAnnulusNorm:
     def test_unit_annulus_energy(self):
         # |u| = |t-1|/r: squared norm is 2 pi (t-1)^2 log(R/delta)
@@ -87,8 +98,9 @@ class TestAnnulusNorm:
         assert vals[(2.0, 4.0)] <= vals[(1.0, 4.0)]  # nonincreasing in delta
         assert vals[(1.0, 4.0)] <= vals[(0.5, 4.0)]
 
-    def test_generic_polar_path_on_constant_field(self):
-        sol = twin_wave("0", 3.0, 4.0, 1.0)  # |u| = 5 everywhere
+    @BOTH_PATHS
+    def test_generic_polar_path_on_constant_field(self, path):
+        sol = path(twin_wave("0", 3.0, 4.0, 1.0))  # |u| = 5 everywhere
         res = annulus_lq_norm(sol, NormSpec(q=2, delta=1.0, R=2.0, t=0.0))
         exact = 25.0 * math.pi * (4.0 - 1.0)
         assert res.value_pow_q == pytest.approx(exact, rel=1e-8)
@@ -166,11 +178,13 @@ class TestPolarPath:
 
     @pytest.mark.parametrize("q", [1, 1.5, 2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.77, 1.0])
-    def test_smooth_twin_wave_matches_dense_oracle(self, t, q):
-        sol = preset("ex_3_4_smooth")
+    @pytest.mark.parametrize("path, rel", [(lambda sol: sol, 1e-12), (_without_wave_normal, 1e-9)],
+                             ids=["plane-wave", "polar"])
+    def test_smooth_twin_wave_matches_dense_oracle(self, t, q, path, rel):
+        sol = path(preset("ex_3_4_smooth"))
         res = annulus_lq_norm(sol, NormSpec(q=q, delta=1.0, R=2.0, t=t))
         assert res.value_pow_q == pytest.approx(_dense_polar_oracle(sol, q, 1.0, 2.0, t),
-                                                rel=1e-9)
+                                                rel=rel)
 
     def test_velocity_is_evaluated_in_batches(self):
         # A count, not a timing: one velocity call per round of the angular
@@ -183,7 +197,7 @@ class TestPolarPath:
             calls.append(len(X))
             return sol.velocity(X, T)
 
-        annulus_lq_norm(dataclasses.replace(sol, velocity=counted),
+        annulus_lq_norm(_without_wave_normal(dataclasses.replace(sol, velocity=counted)),
                         NormSpec(q=2, delta=1.0, R=2.0, t=0.3))
         assert calls == [3072, 3072, 6144, 12288, 5760]
 
@@ -195,19 +209,21 @@ class TestPolarPath:
                               NormSpec(q=1, delta=0.5, R=3.0, t=0.5, subtract=(1.0, 0.0)))
         assert res.value_pow_q == pytest.approx(30.5351944518, rel=1e-9)
 
+    @BOTH_PATHS
     @pytest.mark.parametrize("v, want", [("x", 56.0 / 3.0), ("sin(x)", 9.920407156831928)])
-    def test_speed_vanishing_on_a_line_is_resolved(self, v, want):
+    def test_speed_vanishing_on_a_line_is_resolved(self, v, want, path):
         # c1 = c2 = 0: |u| = sqrt(2) |v(x - y)| vanishes on lines crossing
         # every ring; for v = x the integral is 8 (R^3 - delta^3) / 3.
-        res = annulus_lq_norm(twin_wave(v, 0.0, 0.0, 1.0),
+        res = annulus_lq_norm(path(twin_wave(v, 0.0, 0.0, 1.0)),
                               NormSpec(q=1, delta=1.0, R=2.0, t=0.0))
         assert res.value_pow_q == pytest.approx(want, rel=1e-9)
 
-    def test_squared_speed_beyond_double_range_is_not_finite(self):
+    @BOTH_PATHS
+    def test_squared_speed_beyond_double_range_is_not_finite(self, path):
         # the ring kernel integrates (|u|^2)^(q/2), so |u|^2 must stay finite:
         # a speed of about 1e200 overflows it even at q = 1
         with np.errstate(over="ignore"):
-            res = annulus_lq_norm(twin_wave("1e200/(1+x^2)", 0.0, 0.0, 1.0),
+            res = annulus_lq_norm(path(twin_wave("1e200/(1+x^2)", 0.0, 0.0, 1.0)),
                                   NormSpec(q=1, delta=1.0, R=2.0, t=0.0))
         assert not math.isfinite(res.value)
 
@@ -219,13 +235,115 @@ class TestPolarPath:
         # r = sqrt(2); the norm^q is sqrt(2) times the integral over (1, 2) of
         # r I(r), with I(r) = 4 pi for sqrt(2) r <= 2 and
         # 4 pi + 4 (sqrt(2 r^2 - 4) - 2 acos(sqrt(2) / r)) beyond (mpmath)
-        res = annulus_lq_norm(twin_wave("x-2", 0.0, 0.0, 1.0),
+        res = annulus_lq_norm(_without_wave_normal(twin_wave("x-2", 0.0, 0.0, 1.0)),
                               NormSpec(q=1, delta=1.0, R=2.0, t=0.0))
         assert res.value_pow_q == pytest.approx(27.741946707957999811, rel=1e-9)
 
     @pytest.mark.parametrize("pid", ["ex_3_4_singular", "ex_3_10"])
     def test_annulus_crossing_a_singular_line_raises(self, pid):
         with pytest.raises(FieldError, match="angular quadrature did not converge"):
+            annulus_lq_norm(_without_wave_normal(preset(pid)),
+                            NormSpec(q=2, delta=1.0, R=2.0, t=0.3))
+
+
+def _mpmath_chord_norm(a, q, delta, R):
+    """norm^q of twin_wave("x-a", 0, 0, 1) at t = 0 on (delta, R), in mpmath.
+
+    |u| = sqrt(2) |x1 - x2 - a| = 2 |s - s0| with s = n.x and s0 = a / sqrt(2),
+    so norm^q is the integral over -R < s < R of (2 |s - s0|)^q times the
+    chord length 2 sqrt(R^2 - s^2) - 2 sqrt(max(delta^2 - s^2, 0)): tanh-sinh
+    at 30 digits on pieces split at +-delta and at s0.
+    """
+    with mpmath.workdps(30):
+        delta, R, q = mpmath.mpf(delta), mpmath.mpf(R), mpmath.mpf(q)
+        s0 = mpmath.mpf(a) / mpmath.sqrt(2)
+
+        def piece(lo, hi, inner):
+            def f(s):
+                chord = 2 * mpmath.sqrt(R * R - s * s)
+                if inner:
+                    chord -= 2 * mpmath.sqrt(delta * delta - s * s)
+                return (2 * abs(s - s0)) ** q * chord
+            return mpmath.quad(f, sorted({lo, hi} | ({s0} if lo < s0 < hi else set())))
+
+        return +(piece(-R, -delta, False) + piece(-delta, delta, True) + piece(delta, R, False))
+
+
+# norm^q of twin_wave("x-a", 0, 0, 1) at t = 0 on (delta, R): (a, q, delta, R,
+# value).  Each value is _mpmath_chord_norm's to 20 digits, which it keeps at
+# 40 and 60 digits.  Cross-checks: "x-2" on (1, 2) is also sqrt(2) times the
+# integral over (1, 2) of r I(r) (see the strict xfail above); "x-1.5" on
+# (1.1, 1.5) also comes from an mpmath polar integral with each ring split at
+# its kink angles (7.387516149717777209333); a = 0 is v = x, exactly 56/3.
+PLANE_WAVE_VALUES = {
+    "tangent x-2": (2.0, 1.0, 1.0, 2.0, 27.741946707957999811),  # the polar path raises
+    "x-1.5": (1.5, 1.0, 1.0, 2.0, 23.451635221908321472),  # polar: 23.451634613611134
+    "kinked q1": (1.5, 1.0, 1.1, 1.5, 7.3875161497177772093),  # the polar pin: 1.65e-8 off
+    "kinked q1.5": (1.5, 1.5, 0.5, 2.0, 52.665139466872591797),  # the polar pin: 7.2e-11 off
+    "v = x": (0.0, 1.0, 1.0, 2.0, 56.0 / 3.0),
+}
+
+
+def _plane_wave_cases():
+    """ex_3_4_smooth and a wave with c3 != 1, each as built, rotated, boosted,
+    rescaled, and through a chain of all three."""
+    rot, boost, scale = (TransformSpec.rotation(0.7), TransformSpec.boost((0.5, -1.2)),
+                         TransformSpec.rescale(1.5, 0.8))
+    chains = {"as built": (), "rotation": (rot,), "boost": (boost,), "rescale": (scale,),
+              "chain": (rot, boost, TransformSpec.rotation(-2.1), scale)}
+    waves = {"ex_3_4_smooth": lambda: preset("ex_3_4_smooth"),
+             "c3=-1.7": lambda: twin_wave("exp(-x^2) + x/(1+x^2)", 0.3, -0.2, -1.7)}
+    for wave, build in waves.items():
+        for name, chain in chains.items():
+            yield pytest.param(build, chain, id=f"{wave} {name}")
+
+
+class TestPlaneWavePath:
+    """Twin waves depend on x only through n.x (``wave_normal``): their norm
+    is one quadrature across the annulus against the chord length."""
+
+    @pytest.mark.parametrize("name", sorted(PLANE_WAVE_VALUES))
+    def test_kinked_waves_match_mpmath(self, name):
+        a, q, delta, R, want = PLANE_WAVE_VALUES[name]
+        res = annulus_lq_norm(twin_wave(f"x-{a}", 0.0, 0.0, 1.0),
+                              NormSpec(q=q, delta=delta, R=R, t=0.0))
+        assert res.provenance == f"plane-wave chord quadrature on the annulus ({delta}, {R})"
+        assert res.value_pow_q == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(PLANE_WAVE_VALUES))
+    def test_recorded_values_are_mpmath_values(self, name):
+        a, q, delta, R, want = PLANE_WAVE_VALUES[name]
+        assert float(_mpmath_chord_norm(a, q, delta, R)) == want
+
+    @pytest.mark.parametrize("build, chain", _plane_wave_cases())
+    @pytest.mark.parametrize("subtract", [None, (0.25, -0.5)])
+    def test_transformed_waves_match_the_polar_path(self, build, chain, subtract):
+        sol = build()
+        for tr in chain:
+            sol = apply_transform(sol, tr)
+        spec = NormSpec(q=2.0, delta=0.5, R=2.0, t=0.4, subtract=subtract)
+        res = annulus_lq_norm(sol, spec)
+        polar = annulus_lq_norm(_without_wave_normal(sol), spec)
+        assert res.provenance.startswith("plane-wave") and polar.provenance.startswith("polar")
+        assert res.value_pow_q == pytest.approx(polar.value_pow_q, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.77])
+    def test_smooth_norm_evaluates_few_points(self, t):
+        # a count, not a timing: the polar path evaluates 30,336 points
+        sol = preset("ex_3_4_smooth")
+        calls = []
+
+        def counted(X, T):
+            calls.append(len(X))
+            return sol.velocity(X, T)
+
+        annulus_lq_norm(dataclasses.replace(sol, velocity=counted),
+                        NormSpec(q=2, delta=1.0, R=2.0, t=t))
+        assert sum(calls) <= 2000
+
+    @pytest.mark.parametrize("pid", ["ex_3_4_singular", "ex_3_10"])
+    def test_annulus_crossing_a_singular_line_raises(self, pid):
+        with pytest.raises(FieldError, match="radial quadrature did not converge"):
             annulus_lq_norm(preset(pid), NormSpec(q=2, delta=1.0, R=2.0, t=0.3))
 
 
@@ -550,16 +668,23 @@ class TestTwinWaveFormCheck:
     def test_offset_from_the_next_reference_phase(self, monkeypatch):
         # 1/x divides by zero at xi = 0, so the offset 2 is read at xi = 1; the
         # grid keeps xi = x1 - x2 + 2 t in (2, 5), away from the pole
-        seeds = []
-        eval_jet = analysis.eval_jet
+        # each profile is compiled once, and the phases are read through it
+        seeds, compiled = [], []
+        compile_real = analysis.compile_real
 
-        def recorded(ast, seed, params=None):
-            seeds.append(seed.value)
-            return eval_jet(ast, seed, params)
+        def recorded(ast, params=None):
+            compiled.append(ast)
+            f = compile_real(ast, params)
 
-        monkeypatch.setattr(analysis, "eval_jet", recorded)
+            def value(x):
+                seeds.append(x)
+                return f(x)
+            return value
+
+        monkeypatch.setattr(analysis, "compile_real", recorded)
         grid = SampleRegion(box=((3.0, 4.0), (0.0, 1.0)), time=(0.0, 0.5), count=2000, seed=0)
         res = twin_wave_form_check("1/x + x", "1/x + x + 2", 0.0, 0.0, 1.0, grid=grid)
+        assert compiled == [parse("1/x + x", "x"), parse("1/x + x + 2", "x")]
         assert seeds == [0.0, 1.0, 1.0]
         assert res.sup_residual <= 1e-8
         assert res.verdict == "conforming traveling-wave pair (solution)"
@@ -694,19 +819,19 @@ def _boosted(pid, C):
 # to the squared speed: one ulp down from 0x1.e167d2751145bp+2, where mpmath
 # gives 7.5219617980229385442 (old 0.03 ulp off, new 1.03 ulp).
 PINNED_NORMS = {
-    "polar ex_3_4_smooth": (lambda: preset("ex_3_4_smooth"),
+    "polar ex_3_4_smooth": (lambda: _without_wave_normal(preset("ex_3_4_smooth")),
                             NormSpec(q=2.0, delta=1.0, R=2.0, t=0.37), "0x1.e167d2751145ap+2"),
     "polar ex_3_4_smooth subtract": (
-        lambda: preset("ex_3_4_smooth"),
+        lambda: _without_wave_normal(preset("ex_3_4_smooth")),
         NormSpec(q=3.0, delta=0.5, R=2.5, t=0.8, subtract=(0.0, -1.0)), "0x1.c74d574c15bb2p+2"),
-    "polar ex_3_10": (lambda: preset("ex_3_10"),
+    "polar ex_3_10": (lambda: _without_wave_normal(preset("ex_3_10")),
                       NormSpec(q=2.0, delta=0.2, R=0.6, t=0.0), "0x1.e45849d6bf042p+5"),
-    "polar kinked wave q1": (lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+    "polar kinked wave q1": (lambda: _without_wave_normal(twin_wave("x-1.5", 0.0, 0.0, 1.0)),
                              NormSpec(q=1.0, delta=1.1, R=1.5, t=0.0), "0x1.d8cd10064f6d7p+2"),
-    "polar kinked wave q1.5": (lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+    "polar kinked wave q1.5": (lambda: _without_wave_normal(twin_wave("x-1.5", 0.0, 0.0, 1.0)),
                                NormSpec(q=1.5, delta=0.5, R=2.0, t=0.0), "0x1.a55234a48d91ap+5"),
     "polar kinked wave subtract": (
-        lambda: twin_wave("x-1.5", 0.0, 0.0, 1.0),
+        lambda: _without_wave_normal(twin_wave("x-1.5", 0.0, 0.0, 1.0)),
         NormSpec(q=1.5, delta=0.5, R=2.0, t=0.0, subtract=(0.25, -0.5)), "0x1.9aeeb2428a40ep+5"),
     "polar boosted ex_2_5": (lambda: _boosted("ex_2_5", (1.0, 0.5)),
                              NormSpec(q=2.0, delta=1.0, R=2.0, t=0.3), "0x1.c1c103a3f5539p+3"),

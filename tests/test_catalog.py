@@ -274,7 +274,7 @@ def _chain(sol, C=(0.5, -1.5, 0.25), angle=0.7, lam=2.0, tau=0.5):
     return apply_transform(sol, TransformSpec.rescale(lam, tau))
 
 
-FACTS = ("radial_speed", "decay_envelope", "boundary_speed", "sup_speed_unit_ball")
+FACTS = ("radial_speed", "decay_envelope", "boundary_speed", "sup_speed_unit_ball", "wave_normal")
 
 
 class TestAnalyticFacts:
@@ -297,6 +297,29 @@ class TestAnalyticFacts:
         want = tuple(map(float, (lam / tau) * (Q.T @ np.array(C))))
         assert _chain(preset("ex_2_5"), C, angle, lam, tau).boost_total == want
         assert preset("ex_2_5").boost_total is None
+
+    def test_twin_wave_normal(self):
+        assert twin_wave("x", c3=2.0).wave_normal == (2.0 / math.sqrt(5.0), -1.0 / math.sqrt(5.0))
+        assert preset("ex_3_4_smooth").wave_normal == (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
+        assert all(preset(pid).wave_normal is None for pid in ("ex_2_5", "ex_3_2", "ex_6_1"))
+
+    @pytest.mark.parametrize("pid", ["ex_3_4_smooth", "ex_3_10", "ex_3_4_singular"])
+    @pytest.mark.parametrize("chained", [False, True], ids=["preset", "chain"])
+    @pytest.mark.parametrize("angle", [0.0, 0.7, -2.1])
+    def test_wave_normal_is_a_plane_wave_direction(self, pid, chained, angle):
+        # w is constant along the wave fronts, perpendicular to the unit normal
+        sol = preset(pid)
+        if chained:
+            sol = _chain(sol, angle=angle)
+        elif angle:
+            sol = apply_transform(sol, TransformSpec.rotation(angle))
+        n = np.array(sol.wave_normal)
+        assert float(n @ n) == pytest.approx(1.0, rel=1e-15)
+        X, T = _sample_arrays(SampleRegion(box=((-2.0, 2.0),) * 2, time=(0.0, 0.4), count=50,
+                                           seed=1), sol.singular, sol.exclusion_radius)
+        along = X + np.outer(np.linspace(-3.0, 3.0, len(X)), [-n[1], n[0]])
+        np.testing.assert_allclose(sol.velocity(along, T), sol.velocity(X, T),
+                                   rtol=1e-9, atol=1e-12)
 
     def test_boosted_boundary_speed_is_the_co_moving_speed(self):
         C = np.array([1.0, 0.0, 0.0])

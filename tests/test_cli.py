@@ -175,7 +175,7 @@ class TestNorm:
                            "--t", "0.3")
         assert code == 0
         doc = json.loads(out)
-        assert doc["provenance"].startswith("polar")
+        assert doc["provenance"] == "plane-wave chord quadrature on the annulus (1.0, 2.0)"
         assert doc["value_pow_q"] == pytest.approx(7.526412809725809, rel=1e-10)
 
     def test_polar_norm_with_a_vanishing_speed(self, capsys, tmp_path):
@@ -186,16 +186,31 @@ class TestNorm:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(56.0 / 3.0, rel=1e-9)
 
-    def test_polar_norm_open_after_the_last_bisection_round_is_an_error(self, capsys, tmp_path):
-        # the kink of |x1 - x2 - 1.5| keeps a radial panel open through every
-        # bisection round; that raised IndexError, a traceback
+    def test_kinked_twin_wave_norm_converges(self, capsys, tmp_path):
+        # the kink of |x1 - x2 - 1.5| kept a radial panel of the polar path open
+        # through every bisection round; the plane-wave path resolves it.
+        # mpmath: 28.449878527336483500 (test_analysis._mpmath_chord_norm(1.5,
+        # 1, 0.5, 2), the same at 40 and 60 digits)
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"format_version": 1, "family": "twin_wave",
                                  "params": {"v": "(x - 1.5)"}}))
-        code, out, err = run(capsys, "norm", str(p), "--q", "1", "--delta", "0.5", "--R", "2")
+        code, out, _ = run(capsys, "norm", str(p), "--q", "1", "--delta", "0.5", "--R", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["provenance"].startswith("plane-wave")
+        assert doc["value_pow_q"] == pytest.approx(28.449878527336483500, rel=1e-12)
+
+    def test_polar_norm_open_after_the_last_bisection_round_is_an_error(self, capsys, tmp_path):
+        # ex_2_5 boosted by (3, 0) and measured without --subtract-boost takes
+        # the polar path; at t = 0.5 its centre (1.5, 0) is inside the annulus,
+        # where |u|^2 ~ 1/(4 r^2) is not integrable, so the bisection gives up
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"format_version": 1, "family": "preset", "preset": "ex_2_5",
+                                 "transforms": [{"kind": "boost", "velocity": [3, 0]}]}))
+        code, out, err = run(capsys, "norm", str(p), "--delta", "1", "--R", "2", "--t", "0.5")
         assert (code, out) == (2, "")
-        assert err == ("error: radial quadrature did not converge: "
-                       "panels of width 8.5e-14 are still open\n")
+        assert err == ("error: angular quadrature did not converge: "
+                       "panels of width 5.9e-09 are still open\n")
 
     def test_non_finite_norm_is_an_error(self, capsys, tmp_path):
         p = tmp_path / "spec.json"
